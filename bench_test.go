@@ -369,6 +369,30 @@ func BenchmarkStrategyPredict(b *testing.B) {
 	}
 }
 
+// BenchmarkCoreObserve measures the DPD layer below strategy dispatch:
+// the bare detector and the StreamPredictor in its locked and learning
+// states (benchdefs.CoreBenchLayers).
+func BenchmarkCoreObserve(b *testing.B) {
+	for _, layer := range benchdefs.CoreBenchLayers {
+		b.Run(layer, func(b *testing.B) {
+			env, err := benchdefs.NewCoreBenchEnv(layer)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				env.Observe()
+			}
+			b.StopTimer()
+			if err := env.Check(); err != nil {
+				b.Fatal(err)
+			}
+			benchdefs.ReportThroughput(b)
+		})
+	}
+}
+
 // BenchmarkStoreScanTopK measures the columnar store's parallel
 // projected top-K sender scan over a ≥1M-event trace: the store decodes
 // only the sender and level columns, prunes by the footer index and fans

@@ -390,6 +390,35 @@ func strategyBenchmarks(entries []entry) []entry {
 	return entries
 }
 
+// coreBenchmarks appends one observe entry per core DPD layer (bare
+// detector, locked and learning predictor): the layers below
+// strategy-observe-dpd in the per-layer ledger.
+func coreBenchmarks(entries []entry) []entry {
+	for _, layer := range benchdefs.CoreBenchLayers {
+		entries = append(entries, entry{"core-" + layer, false, func(b *testing.B) {
+			env, err := benchdefs.NewCoreBenchEnv(layer)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				env.Observe()
+			}
+			b.StopTimer()
+			if err := env.Check(); err != nil {
+				b.Fatal(err)
+			}
+			benchdefs.ReportThroughput(b)
+		}})
+	}
+	return entries
+}
+
+// allBenchmarks is every entry benchjson knows, in -list order.
+func allBenchmarks() []entry {
+	return coreBenchmarks(strategyBenchmarks(benchmarks()))
+}
+
 // nextFreePath returns the first BENCH_<n>.json (n = 1, 2, ...) that does
 // not exist yet in the current directory.
 func nextFreePath() string {
@@ -438,7 +467,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
 
-	all := strategyBenchmarks(benchmarks())
+	all := allBenchmarks()
 	if *list {
 		for _, e := range all {
 			fmt.Fprintln(stdout, e.Name)

@@ -24,12 +24,13 @@ func TestListPrintsEveryBenchmark(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Fields(stdout)
-	if want := len(strategyBenchmarks(benchmarks())); len(lines) != want {
+	if want := len(allBenchmarks()); len(lines) != want {
 		t.Fatalf("-list printed %d names, want %d", len(lines), want)
 	}
 	for _, want := range []string{"table1", "figures34", "figure3-cold-serial", "serve-observe", "serve-predict",
 		"wire-observe-block", "wire-predict", "serve-observe-block-markov1",
-		"strategy-observe-dpd", "strategy-predict-dpd", "strategy-observe-lastvalue", "strategy-predict-markov1"} {
+		"strategy-observe-dpd", "strategy-predict-dpd", "strategy-observe-lastvalue", "strategy-predict-markov1",
+		"core-detector-observe", "core-stream-observe-locked", "core-stream-observe-learning"} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("-list output missing %q:\n%s", want, stdout)
 		}

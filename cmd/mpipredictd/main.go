@@ -290,6 +290,10 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 		}
 		fmt.Fprintf(stdout, "mpipredictd: wire protocol on %s\n", wln.Addr())
 		wireSrv = serve.NewWireServer(srv)
+		// Advertise before serving: a /healthz probe (the -replay
+		// self-replay's transport negotiation among them) can run before
+		// the Serve goroutine is scheduled.
+		srv.SetWireAddr(wln.Addr().String())
 		go func() { wireErr <- wireSrv.Serve(wln) }()
 	}
 

@@ -26,3 +26,24 @@ func TestStrategyBenchEnv(t *testing.T) {
 		t.Fatal("unknown strategy accepted")
 	}
 }
+
+// TestCoreBenchEnv sanity-checks the core layer benchmark bodies: each
+// layer warms into the state it measures and stays there across a full
+// pass over its stream, and unknown layers error.
+func TestCoreBenchEnv(t *testing.T) {
+	for _, layer := range CoreBenchLayers {
+		env, err := NewCoreBenchEnv(layer)
+		if err != nil {
+			t.Fatalf("%s: %v", layer, err)
+		}
+		for range env.stream {
+			env.Observe()
+		}
+		if err := env.Check(); err != nil {
+			t.Error(err)
+		}
+	}
+	if _, err := NewCoreBenchEnv("no-such-layer"); err == nil {
+		t.Fatal("unknown core layer accepted")
+	}
+}

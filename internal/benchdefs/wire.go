@@ -56,7 +56,9 @@ func NewWireBenchEnv() (*WireBenchEnv, error) {
 	if err != nil {
 		return nil, err
 	}
-	ws := serve.NewWireServer(serve.NewServer(reg))
+	srv := serve.NewServer(reg)
+	ws := serve.NewWireServer(srv)
+	srv.SetWireAddr(ln.Addr().String())
 	go ws.Serve(ln)
 
 	env := &WireBenchEnv{

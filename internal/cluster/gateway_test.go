@@ -620,6 +620,7 @@ func TestGatewayVarsSpliceWireComposite(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := serve.NewWireServer(wired.srv)
+	wired.srv.SetWireAddr(ln.Addr().String())
 	go ws.Serve(ln)
 	defer ws.Close()
 

@@ -81,6 +81,36 @@ func TestStreamPredictorLearningObserveZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestObserveZeroAllocsOnWideValues repeats the steady-state checks on the
+// stream that makes the split passes and the fused period search do the
+// most work: wide random values mismatch at every lag, so every learning
+// observe scans all lags for a tolerant period. The restored predictor
+// covers the detector RestoreStreamPredictor builds by hand.
+func TestObserveZeroAllocsOnWideValues(t *testing.T) {
+	fresh := NewStreamPredictor(DefaultConfig())
+	stream := wideRandomStream(4*fresh.cfg.WindowSize, 2)
+	for _, x := range stream {
+		fresh.Observe(x)
+	}
+	restored, err := RestoreStreamPredictor(fresh.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string]*StreamPredictor{"fresh": fresh, "restored": restored} {
+		i := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			p.Observe(stream[i%len(stream)])
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%s learning-state Observe allocates %.2f objects per call, want 0", name, allocs)
+		}
+		if p.State() != Learning {
+			t.Errorf("%s predictor locked on wide random values", name)
+		}
+	}
+}
+
 // TestPredictSeriesIntoZeroAllocs pins the buffer-reuse contract of the
 // prediction hot path.
 func TestPredictSeriesIntoZeroAllocs(t *testing.T) {

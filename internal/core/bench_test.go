@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // The microbenchmarks below pin the per-observation cost of the DPD hot
 // path. Run them with -benchmem: the steady-state observe and predict
@@ -49,6 +52,39 @@ func BenchmarkStreamPredictorObserveLocked(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p.Observe(stream[i%len(stream)])
 	}
+}
+
+// BenchmarkStreamPredictorObserveLearning measures the steady-state
+// observe path of a predictor that never finds a pattern: the detector
+// feed plus the fused strict-then-tolerant period search over every lag.
+// Random values drawn from a wide range make every lag mismatch, so the
+// search always scans to MaxLag.
+func BenchmarkStreamPredictorObserveLearning(b *testing.B) {
+	p := NewStreamPredictor(DefaultConfig())
+	stream := wideRandomStream(4*p.cfg.WindowSize, 1)
+	for _, x := range stream {
+		p.Observe(x)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Observe(stream[i%len(stream)])
+	}
+	b.StopTimer()
+	if c := p.Counters(); c.Locks != 0 {
+		b.Fatalf("predictor locked %d times on a wide random stream", c.Locks)
+	}
+}
+
+// wideRandomStream returns n values drawn uniformly from [0, 2^40), so
+// that no two window samples are expected to be equal.
+func wideRandomStream(n int, seed int64) []int64 {
+	r := rand.New(rand.NewSource(seed))
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = r.Int63n(1 << 40)
+	}
+	return out
 }
 
 // BenchmarkStreamPredictorPredict measures a single locked-pattern lookup.

@@ -16,9 +16,13 @@ import "fmt"
 // feed the same stream.
 type Detector struct {
 	cfg      Config
-	win      *ring
+	win      ring
 	mismatch []int // mismatch[m] for m in 1..MaxLag (index 0 unused)
 	observed int64 // total samples ever observed
+
+	// allowed[p] is the largest mismatch count within LockTolerance for
+	// a lag compared over p pairs: int(LockTolerance*p), p = 0..WindowSize.
+	allowed []int
 }
 
 // NewDetector returns a Detector for the given configuration. Zero fields
@@ -29,11 +33,30 @@ func NewDetector(cfg Config) *Detector {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	return newDetector(cfg)
+}
+
+// newDetector builds a detector for a configuration that is already
+// defaulted and validated. RestoreStreamPredictor uses it directly because
+// a snapshot's configuration must not be re-defaulted.
+func newDetector(cfg Config) *Detector {
 	return &Detector{
 		cfg:      cfg,
 		win:      newRing(cfg.WindowSize),
 		mismatch: make([]int, cfg.MaxLag+1),
+		allowed:  allowedMismatches(cfg.WindowSize, cfg.LockTolerance),
 	}
+}
+
+// allowedMismatches returns the table allowed[p] = int(tol*p) for
+// p = 0..windowSize. It evaluates the same float expression as
+// PeriodWithin, so every entry is exactly the bound PeriodWithin applies.
+func allowedMismatches(windowSize int, tol float64) []int {
+	allowed := make([]int, windowSize+1)
+	for p := range allowed {
+		allowed[p] = int(tol * float64(p))
+	}
+	return allowed
 }
 
 // Config returns the configuration the detector was built with (after
@@ -66,28 +89,59 @@ func (d *Detector) Reset() {
 }
 
 // Observe appends one sample to the window, updating all per-lag mismatch
-// counts incrementally.
+// counts incrementally. Both passes read the window as at most two
+// contiguous runs of the ring's backing array, so the per-lag work is one
+// compare and one counter update.
 func (d *Detector) Observe(x int64) {
-	n := d.win.Len()
 	if d.win.Full() {
 		// The oldest sample is about to be evicted. For every lag m the
 		// pair in which the evicted sample is the older element — the pair
 		// (window[m], window[0]) — leaves the set of compared positions.
-		for m := 1; m <= d.cfg.MaxLag && m < n; m++ {
-			if d.win.At(m) != d.win.At(0) {
-				d.mismatch[m]--
-			}
-		}
+		// window[1..lim] runs oldest-first, in step with mismatch[1..lim].
+		lim := min(d.cfg.MaxLag, d.win.Len()-1)
+		oldest := d.win.At(0)
+		a, b := d.win.Segments(1, lim+1)
+		mm := d.mismatch[1 : lim+1]
+		uncount(mm[:len(a)], a, oldest)
+		uncount(mm[len(a):], b, oldest)
 	}
 	d.win.Push(x)
 	d.observed++
-	n = d.win.Len()
-	// The new sample forms one new pair per lag: (x, window[n-1-m]).
-	for m := 1; m <= d.cfg.MaxLag && m < n; m++ {
-		if x != d.win.At(n-1-m) {
-			d.mismatch[m]++
-		}
+	// The new sample forms one new pair per lag: (x, window[n-1-m]). Read
+	// newest-first, window[n-1-lim..n-2] is in step with mismatch[1..lim].
+	n := d.win.Len()
+	lim := min(d.cfg.MaxLag, n-1)
+	a, b := d.win.Segments(n-1-lim, n-1)
+	mm := d.mismatch[1 : lim+1]
+	countReversed(mm[:len(b)], b, x)
+	countReversed(mm[len(b):], a, x)
+}
+
+// uncount decrements mm[i] for every i with s[i] != x; len(s) == len(mm).
+func uncount(mm []int, s []int64, x int64) {
+	s = s[:len(mm)]
+	for i, v := range s {
+		mm[i] -= b2i(v != x)
 	}
+}
+
+// countReversed increments mm[i] for every i with s[len(s)-1-i] != x;
+// len(s) == len(mm).
+func countReversed(mm []int, s []int64, x int64) {
+	s = s[:len(mm)]
+	for i := range mm {
+		mm[i] += b2i(s[len(s)-1-i] != x)
+	}
+}
+
+// b2i converts a comparison to 0 or 1. The compiler turns it into a
+// flag-to-register move rather than a branch, which keeps the compare
+// passes free of mispredictions on streams that mix hits and misses.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Distance returns d(m) from equation (1) computed over the current
@@ -119,14 +173,13 @@ func (d *Detector) DistanceDirect(m int) int {
 	return count
 }
 
-// pairs returns the number of compared positions for lag m in the current
-// window.
-func (d *Detector) pairs(m int) int {
+// searchLimit returns the largest lag a period search may report for the
+// current window: at most MaxLag, compared over at least one pair
+// (m < Len()), and repeated at least MinRepeats times (MinRepeats*m <=
+// Len()). Every smaller lag satisfies the same bounds.
+func (d *Detector) searchLimit() int {
 	n := d.win.Len()
-	if m >= n {
-		return 0
-	}
-	return n - m
+	return max(0, min(d.cfg.MaxLag, n-1, n/d.cfg.MinRepeats))
 }
 
 // Period returns the smallest lag m for which the window is exactly
@@ -134,7 +187,12 @@ func (d *Detector) pairs(m int) int {
 // MinRepeats*m samples. ok is false when no such lag exists, which is the
 // detector's way of saying "no iterative pattern visible yet".
 func (d *Detector) Period() (period int, ok bool) {
-	return d.periodWithTolerance(0)
+	for i, c := range d.mismatch[1 : d.searchLimit()+1] {
+		if c == 0 {
+			return i + 1, true
+		}
+	}
+	return 0, false
 }
 
 // PeriodWithin returns the smallest lag whose mismatch fraction
@@ -145,27 +203,41 @@ func (d *Detector) PeriodWithin(tol float64) (period int, ok bool) {
 	if tol < 0 {
 		tol = 0
 	}
-	return d.periodWithTolerance(tol)
-}
-
-func (d *Detector) periodWithTolerance(tol float64) (int, bool) {
-	n := d.win.Len()
-	for m := 1; m <= d.cfg.MaxLag && m < n; m++ {
-		if n < d.cfg.MinRepeats*m {
-			// Window no longer holds enough repetitions for this or any
-			// larger lag.
-			break
-		}
-		p := d.pairs(m)
-		if p <= 0 {
-			break
-		}
-		allowed := int(tol * float64(p))
-		if d.mismatch[m] <= allowed {
+	n, lim := d.win.Len(), d.searchLimit()
+	for m := 1; m <= lim; m++ {
+		if d.mismatch[m] <= int(tol*float64(n-m)) {
 			return m, true
 		}
 	}
 	return 0, false
+}
+
+// lockPeriod is StreamPredictor's period search in one pass over the
+// lags: the smallest strict lag (what Period returns) when there is one,
+// otherwise the smallest lag within the configured LockTolerance (what
+// PeriodWithin(LockTolerance) returns). A strict lag is also within
+// tolerance, so the smallest tolerant lag is found first; the scan then
+// continues from it for a strict lag. The tolerance test reads the
+// allowed table, so it costs an integer compare per lag.
+func (d *Detector) lockPeriod() (period int, ok bool) {
+	n := d.win.Len()
+	lim := d.searchLimit()
+	m := 1
+	for ; m <= lim; m++ {
+		if d.mismatch[m] <= d.allowed[n-m] {
+			break
+		}
+	}
+	if m > lim {
+		return 0, false
+	}
+	tolerant := m
+	for ; m <= lim; m++ {
+		if d.mismatch[m] == 0 {
+			return m, true
+		}
+	}
+	return tolerant, true
 }
 
 // Periodogram returns a copy of the mismatch counts indexed by lag
@@ -189,13 +261,13 @@ func (d *Detector) Predict(k int) (int64, bool) {
 	if !ok {
 		return 0, false
 	}
-	n := d.win.Len()
-	// Index of x[t+k-m] within the window, where index n-1 holds x[t].
-	idx := n - m + ((k - 1) % m)
-	if idx < 0 || idx >= n {
-		return 0, false
-	}
-	return d.win.At(idx), true
+	return d.predictAt(m, k), true
+}
+
+// predictAt returns x[t+k-m] for a detected period m (1 <= m < Len()) and
+// k >= 1. The index n-m+((k-1) mod m) always lies in [n-m, n-1].
+func (d *Detector) predictAt(m, k int) int64 {
+	return d.win.At(d.win.Len() - m + (k-1)%m)
 }
 
 // PredictSeries predicts the next count future values. Predictions that
@@ -205,10 +277,15 @@ func (d *Detector) PredictSeries(count int) []Prediction {
 }
 
 // PredictSeriesInto appends the next count predictions to dst and returns
-// it, allowing hot-path callers to reuse one buffer across queries.
+// it, allowing hot-path callers to reuse one buffer across queries. The
+// period is looked up once for the whole series.
 func (d *Detector) PredictSeriesInto(dst []Prediction, count int) []Prediction {
+	m, ok := d.Period()
 	for k := 1; k <= count; k++ {
-		v, ok := d.Predict(k)
+		var v int64
+		if ok {
+			v = d.predictAt(m, k)
+		}
 		dst = append(dst, Prediction{Ahead: k, Value: v, OK: ok})
 	}
 	return dst

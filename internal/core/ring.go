@@ -10,11 +10,11 @@ type ring struct {
 	count int
 }
 
-func newRing(capacity int) *ring {
+func newRing(capacity int) ring {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	return &ring{buf: make([]int64, capacity)}
+	return ring{buf: make([]int64, capacity)}
 }
 
 // Cap returns the fixed capacity of the ring.
@@ -32,12 +32,22 @@ func (r *ring) Push(x int64) (evicted int64, wasFull bool) {
 	if r.count == len(r.buf) {
 		evicted = r.buf[r.head]
 		r.buf[r.head] = x
-		r.head = (r.head + 1) % len(r.buf)
+		r.head = r.wrap(r.head + 1)
 		return evicted, true
 	}
-	r.buf[(r.head+r.count)%len(r.buf)] = x
+	r.buf[r.wrap(r.head+r.count)] = x
 	r.count++
 	return 0, false
+}
+
+// wrap maps a physical index in [0, 2*Cap()) back into the buffer. Every
+// caller adds two in-range offsets, so one conditional subtraction stands
+// in for a modulo.
+func (r *ring) wrap(i int) int {
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return i
 }
 
 // At returns the i-th stored sample, where 0 is the oldest and Len()-1 the
@@ -46,7 +56,7 @@ func (r *ring) At(i int) int64 {
 	if i < 0 || i >= r.count {
 		panic("core: ring index out of range")
 	}
-	return r.buf[(r.head+i)%len(r.buf)]
+	return r.buf[r.wrap(r.head+i)]
 }
 
 // Last returns the most recently pushed sample; ok is false when empty.
@@ -57,6 +67,23 @@ func (r *ring) Last() (int64, bool) {
 	return r.At(r.count - 1), true
 }
 
+// Segments returns the logical range [i, j) of the stored samples (0 is
+// the oldest) as at most two contiguous sub-slices of the backing array:
+// a holds the samples up to the physical end of the buffer and b, empty
+// unless the range wraps, the rest. The slices alias the ring and are
+// valid until the next Push. It panics unless 0 <= i <= j <= Len().
+func (r *ring) Segments(i, j int) (a, b []int64) {
+	if i < 0 || i > j || j > r.count {
+		panic("core: ring segment out of range")
+	}
+	start := r.wrap(r.head + i)
+	end := start + (j - i)
+	if end <= len(r.buf) {
+		return r.buf[start:end], nil
+	}
+	return r.buf[start:], r.buf[:end-len(r.buf)]
+}
+
 // Snapshot copies the window contents, oldest first.
 func (r *ring) Snapshot() []int64 {
 	return r.AppendTo(make([]int64, 0, r.count))
@@ -65,15 +92,8 @@ func (r *ring) Snapshot() []int64 {
 // AppendTo appends the window contents to dst, oldest first, and returns
 // it. The two wrapped segments are copied with at most two copy calls.
 func (r *ring) AppendTo(dst []int64) []int64 {
-	if r.count == 0 {
-		return dst
-	}
-	end := r.head + r.count
-	if end <= len(r.buf) {
-		return append(dst, r.buf[r.head:end]...)
-	}
-	dst = append(dst, r.buf[r.head:]...)
-	return append(dst, r.buf[:end-len(r.buf)]...)
+	a, b := r.Segments(0, r.count)
+	return append(append(dst, a...), b...)
 }
 
 // Reset discards all samples but keeps the allocated buffer.

@@ -111,3 +111,49 @@ func TestRingMatchesSliceSuffix(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: Segments(i, j) concatenated is the logical range [i, j) of
+// the window, for every range and every head position.
+func TestRingSegmentsMatchSnapshot(t *testing.T) {
+	for c := 1; c <= 9; c++ {
+		r := newRing(c)
+		for pushed := 0; pushed < 3*c+2; pushed++ {
+			snap := r.Snapshot()
+			for i := 0; i <= r.Len(); i++ {
+				for j := i; j <= r.Len(); j++ {
+					a, b := r.Segments(i, j)
+					if len(b) > 0 && len(a) == 0 {
+						t.Fatalf("cap %d head %d [%d,%d): empty first segment before a non-empty second", c, r.head, i, j)
+					}
+					got := append(append([]int64(nil), a...), b...)
+					want := snap[i:j]
+					if len(got) != len(want) {
+						t.Fatalf("cap %d head %d [%d,%d): got %v want %v", c, r.head, i, j, got, want)
+					}
+					for k := range got {
+						if got[k] != want[k] {
+							t.Fatalf("cap %d head %d [%d,%d): got %v want %v", c, r.head, i, j, got, want)
+						}
+					}
+				}
+			}
+			r.Push(int64(100 + pushed))
+		}
+	}
+}
+
+func TestRingSegmentsPanicsOutOfRange(t *testing.T) {
+	r := newRing(4)
+	r.Push(1)
+	r.Push(2)
+	for _, rg := range [][2]int{{-1, 1}, {1, 0}, {0, 3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Segments(%d, %d) should panic", rg[0], rg[1])
+				}
+			}()
+			r.Segments(rg[0], rg[1])
+		}()
+	}
+}

@@ -112,12 +112,8 @@ func RestoreStreamPredictor(s PredictorSnapshot) (*StreamPredictor, error) {
 	// constructors re-default zero config fields, which would silently
 	// rewrite a snapshot that legitimately uses zero values.
 	p := &StreamPredictor{
-		cfg: cfg,
-		det: &Detector{
-			cfg:      cfg,
-			win:      newRing(cfg.WindowSize),
-			mismatch: make([]int, cfg.MaxLag+1),
-		},
+		cfg:   cfg,
+		det:   newDetector(cfg),
 		state: Learning,
 	}
 	if cfg.RelearnWindow > 0 {

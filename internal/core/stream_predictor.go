@@ -188,15 +188,10 @@ func (p *StreamPredictor) Observe(x int64) {
 // application even when the stream alternates between shorter local
 // sub-patterns (the LU sweeps are the canonical example). When no strict
 // period exists — typically on physical-level streams perturbed by noise —
-// the tolerant criterion is used instead.
+// the tolerant criterion is used instead. With LockTolerance 0 both
+// criteria coincide. The detector answers both in a single pass.
 func (p *StreamPredictor) searchPeriod() (int, bool) {
-	if period, ok := p.det.Period(); ok {
-		return period, true
-	}
-	if p.cfg.LockTolerance > 0 {
-		return p.det.PeriodWithin(p.cfg.LockTolerance)
-	}
-	return 0, false
+	return p.det.lockPeriod()
 }
 
 // lock captures the consensus pattern of length period from the detector
@@ -300,9 +295,12 @@ func (p *StreamPredictor) PredictSeries(count int) []Prediction {
 // allocations (see predictor.MessagePredictor.ForecastInto for the
 // equivalent message-level query the replay loops use).
 func (p *StreamPredictor) PredictSeriesInto(dst []Prediction, count int) []Prediction {
+	if p.state != Locked {
+		return p.det.PredictSeriesInto(dst, count)
+	}
 	for k := 1; k <= count; k++ {
-		v, ok := p.Predict(k)
-		dst = append(dst, Prediction{Ahead: k, Value: v, OK: ok})
+		v, _ := p.Predict(k)
+		dst = append(dst, Prediction{Ahead: k, Value: v, OK: true})
 	}
 	return dst
 }
@@ -326,12 +324,21 @@ func (p *StreamPredictor) PredictSet(count int) ([]int64, bool) {
 // caller that reuses it — dst[:0] of the previous call — keeps its
 // capacity across abstaining queries.
 func (p *StreamPredictor) PredictSetInto(dst []int64, count int) ([]int64, bool) {
-	for k := 1; k <= count; k++ {
-		v, ok := p.Predict(k)
-		if !ok {
-			return dst, false
+	if p.state == Locked {
+		for k := 1; k <= count; k++ {
+			v, _ := p.Predict(k)
+			dst = append(dst, v)
 		}
-		dst = append(dst, v)
+		return dst, true
+	}
+	// While learning, every prediction comes from the detector's strict
+	// period, so one lookup decides the whole set.
+	m, ok := p.det.Period()
+	if !ok && count >= 1 {
+		return dst, false
+	}
+	for k := 1; k <= count; k++ {
+		dst = append(dst, p.det.predictAt(m, k))
 	}
 	return dst, true
 }
@@ -342,10 +349,17 @@ func (p *StreamPredictor) PredictSetInto(dst []int64, count int) ([]int64, bool)
 // perturbations the majority of repetitions wins. The scratch map is
 // cleared and reused for every phase, so one lock event costs zero map
 // allocations instead of one per phase; the walk visits each window sample
-// twice in total (O(len(win))) rather than once per phase.
+// twice in total (O(len(win))) rather than once per phase. A phase where
+// one value holds a strict majority — every phase of a clean window, and
+// most phases of a perturbed one — skips the counting map.
 func consensusPattern(win []int64, period int, scratch map[int64]int) []int64 {
 	pattern := make([]int64, period)
 	for ph := 0; ph < period; ph++ {
+		last := ph + ((len(win)-1-ph)/period)*period
+		if v, ok := phaseMajority(win, ph, last, period); ok {
+			pattern[ph] = v
+			continue
+		}
 		clear(scratch)
 		for i := ph; i < len(win); i += period {
 			scratch[win[i]]++
@@ -356,7 +370,6 @@ func consensusPattern(win []int64, period int, scratch map[int64]int) []int64 {
 		// the window at this phase. Walking newest-first and requiring a
 		// strictly greater count reproduces the seed implementation's
 		// choice exactly.
-		last := ph + ((len(win)-1-ph)/period)*period
 		for i := last; i >= 0; i -= period {
 			v := win[i]
 			if c := scratch[v]; c > bestCount {
@@ -367,4 +380,29 @@ func consensusPattern(win []int64, period int, scratch map[int64]int) []int64 {
 		pattern[ph] = best
 	}
 	return pattern
+}
+
+// phaseMajority returns the value held by more than half of one phase's
+// samples, win[ph], win[ph+period], ..., win[last], if there is one. Such a
+// value has a strictly greater count than any other, so the vote would pick
+// it whatever the tie-break. It runs the Boyer-Moore majority vote, then
+// counts the candidate to confirm it.
+func phaseMajority(win []int64, ph, last, period int) (int64, bool) {
+	cand, lead := int64(0), 0
+	for i := ph; i <= last; i += period {
+		switch {
+		case lead == 0:
+			cand, lead = win[i], 1
+		case win[i] == cand:
+			lead++
+		default:
+			lead--
+		}
+	}
+	count, total := 0, 0
+	for i := ph; i <= last; i += period {
+		total++
+		count += b2i(win[i] == cand)
+	}
+	return cand, 2*count > total
 }

@@ -33,6 +33,9 @@ func startWireServer(t *testing.T, srv *Server) (*WireServer, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Advertise before returning: a replay's /healthz probe may otherwise
+	// run before Serve does and negotiate plain HTTP.
+	srv.SetWireAddr(ln.Addr().String())
 	go ws.Serve(ln)
 	t.Cleanup(ws.Shutdown)
 	return ws, ln.Addr().String()

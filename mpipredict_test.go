@@ -216,6 +216,7 @@ func TestFacadeWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := NewWireServer(srv)
+	srv.SetWireAddr(ln.Addr().String())
 	go ws.Serve(ln)
 	defer ws.Close()
 
@@ -246,11 +247,10 @@ func TestFacadeWire(t *testing.T) {
 		t.Fatalf("wire predict = found %v, observed %d, %d forecasts", resp.Found, resp.Observed, len(resp.Forecasts))
 	}
 
-	// The load generator needs the HTTP surface to probe for the wire
-	// advert; pin the wire transport and point it at the listener.
+	// The load generator probes the HTTP surface for the wire advert
+	// published above.
 	hts := httptest.NewServer(srv)
 	defer hts.Close()
-	srv.SetWireAddr(ln.Addr().String())
 	stats, err := RunLoadGen(ctx, hts.URL, LoadGenOptions{Events: 2048, Sessions: 2})
 	if err != nil {
 		t.Fatal(err)
