@@ -444,10 +444,26 @@ func BenchmarkStoreWrite(b *testing.B) {
 	benchdefs.ReportEventsThroughput(b, env.Events)
 }
 
-// BenchmarkTraceLoadTopK is the pre-store baseline of
-// BenchmarkStoreScanTopK: trace.Load materializes every record, then the
+// BenchmarkStoreRecordStream measures the replay path: every record of
+// the store read one at a time through trace.Open.
+func BenchmarkStoreRecordStream(b *testing.B) {
+	env, err := benchdefs.StoreBench()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := env.RecordStream(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	benchdefs.ReportEventsThroughput(b, env.Events)
+}
+
+// BenchmarkTraceLoadTopK is the baseline of BenchmarkStoreScanTopK:
+// trace.Load materializes every record of the same store, then the
 // caller iterates. The events/s ratio between the two benchmarks is the
-// speedup the partitioned columnar format delivers on analytical scans.
+// speedup the parallel projected scan delivers on analytical queries.
 func BenchmarkTraceLoadTopK(b *testing.B) {
 	env, err := benchdefs.StoreBench()
 	if err != nil {

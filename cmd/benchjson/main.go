@@ -337,10 +337,24 @@ func benchmarks() []entry {
 			}
 			benchdefs.ReportEventsThroughput(b, env.Events)
 		}},
+		{"store-record-stream", false, func(b *testing.B) {
+			// The replay path: every record through trace.Open/Read.
+			env, err := benchdefs.StoreBench()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := env.RecordStream(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			benchdefs.ReportEventsThroughput(b, env.Events)
+		}},
 		{"trace-load-topk", false, func(b *testing.B) {
-			// The pre-store baseline of store-scan-topk: materialize the
-			// whole trace, then iterate. The events/s ratio between the two
-			// entries is the store's headline speedup.
+			// The baseline of store-scan-topk: materialize the whole store
+			// through trace.Load, then iterate. The events/s ratio between
+			// the two entries is the scan engine's headline speedup.
 			env, err := benchdefs.StoreBench()
 			if err != nil {
 				b.Fatal(err)

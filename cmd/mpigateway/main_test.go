@@ -120,7 +120,7 @@ func TestGatewayServesClusterEndToEnd(t *testing.T) {
 
 	// Replay a corpus trace through the gateway; sessions must appear on
 	// the backends and the gateway listing must see all of them.
-	tr, err := trace.Load("../../testdata/corpus/bt.4.mpt")
+	tr, err := trace.Load("../../testdata/corpus/bt.4.mpts")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@
 //	mpipredict -experiment compare
 //	mpipredict -experiment figure1 -iterations 40 -noiseless
 //	mpipredict -experiment table1 -cache-dir ~/.cache/mpipredict -cache-stats
-//	mpipredict -trace bt9.mpt -experiment table1
+//	mpipredict -trace bt9.mpts -experiment table1
 //	mpipredict -trace big.mpts -experiment scan -scan top-senders -topk 5
 //	mpipredict -trace big.mpts -experiment scan -scan windows -windows 12 -format csv
 //	mpipredict -trace big.mpts -experiment scan -scan phases -parallel 8
@@ -26,13 +26,12 @@
 // one representative workload per benchmark. The adaptive "meta"
 // strategy wraps every other registered strategy and routes each
 // prediction to whichever currently scores best on the stream. With -trace, the named file
-// (binary .mpt or JSONL, from cmd/tracegen) replaces the simulator:
+// (a .mpts store or JSONL, from cmd/tracegen) replaces the simulator:
 // table1 characterises the traced receiver and figure3/figure4 evaluate
 // prediction accuracy on its recorded streams. With -cache-dir, simulated
-// traces are persisted under the directory and reused by later runs; a
-// warm directory serves a full experiment grid with zero simulator
-// invocations (verify with -cache-stats); -cache-format mpts switches the
-// disk tier to the columnar store format.
+// traces are persisted under the directory as .mpts stores and reused by
+// later runs; a warm directory serves a full experiment grid with zero
+// simulator invocations (verify with -cache-stats).
 //
 // The "scan" experiment answers workload-analysis queries directly from a
 // columnar .mpts file (cmd/tracegen -o file.mpts) without materializing
@@ -84,11 +83,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	noiseless := fs.Bool("noiseless", false, "disable network jitter and load imbalance")
 	parallel := fs.Int("parallel", 0, "max experiments evaluated concurrently (0 = GOMAXPROCS); results are identical for every setting")
 	nocache := fs.Bool("nocache", false, "re-simulate every workload instead of sharing traces between experiments")
-	tracePath := fs.String("trace", "", "replay this trace file (.mpt or JSONL) instead of simulating")
+	tracePath := fs.String("trace", "", "replay this trace file (.mpts or JSONL) instead of simulating")
 	format := fs.String("format", "table", "output format for -experiment compare and scan: table or csv")
 	cacheDir := fs.String("cache-dir", "", "persist simulated traces under this directory and reuse them across runs")
 	cacheStats := fs.Bool("cache-stats", false, "print trace-cache statistics for this run to stderr")
-	cacheFormat := fs.String("cache-format", "mpt", "on-disk format of the -cache-dir tier: mpt (flat binary) or mpts (columnar store)")
 	scanQuery := fs.String("scan", "top-senders", "query for -experiment scan: top-senders, windows, or phases")
 	topK := fs.Int("topk", 10, "with -scan top-senders: number of senders to rank")
 	windows := fs.Int("windows", 8, "with -scan windows or phases: number of equal time windows")
@@ -135,9 +133,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// silently ignoring simulation/cache knobs would let the user
 		// believe they took effect. The scan experiment keeps -parallel: it
 		// bounds the store scan workers.
-		reject := []string{"seed", "iterations", "noiseless", "parallel", "nocache", "cache-dir", "cache-stats", "cache-format"}
+		reject := []string{"seed", "iterations", "noiseless", "parallel", "nocache", "cache-dir", "cache-stats"}
 		if *experiment == "scan" {
-			reject = []string{"seed", "iterations", "noiseless", "nocache", "cache-dir", "cache-stats", "cache-format"}
+			reject = []string{"seed", "iterations", "noiseless", "nocache", "cache-dir", "cache-stats"}
 		}
 		if set := cliutil.SetFlags(fs, reject...); len(set) > 0 {
 			return fmt.Errorf("%v only affect simulation and are ignored with -trace; drop them", set)
@@ -154,14 +152,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// fixed-layout paper reproductions.
 		return fmt.Errorf("-format only affects -experiment compare and scan; drop it")
 	}
-	switch *cacheFormat {
-	case "mpt", "mpts":
-	default:
-		return fmt.Errorf("unknown -cache-format %q (want mpt or mpts)", *cacheFormat)
-	}
-	if len(cliutil.SetFlags(fs, "cache-format")) > 0 && *cacheDir == "" {
-		return fmt.Errorf("-cache-format selects the on-disk tier format and needs -cache-dir; add it or drop -cache-format")
-	}
 
 	opts := evalx.Options{Seed: *seed, Iterations: *iterations, Net: simnet.DefaultConfig(), Parallelism: *parallel, NoCache: *nocache, Strategy: *predictorName}
 	if *noiseless {
@@ -171,11 +161,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// A fresh Cache per invocation: its memory tier is empty, so the
 		// printed stats describe exactly this run, and the disk tier under
 		// cacheDir carries entries across runs and processes.
-		if *cacheFormat == "mpts" {
-			opts.Cache = tracecache.NewDiskStore(*cacheDir)
-		} else {
-			opts.Cache = tracecache.NewDisk(*cacheDir)
-		}
+		opts.Cache = tracecache.NewDiskStore(*cacheDir)
 	}
 	if *cacheStats {
 		cache := opts.Cache

@@ -15,7 +15,7 @@ import (
 	"mpipredict/internal/report"
 	"mpipredict/internal/simnet"
 	"mpipredict/internal/strategy"
-	"mpipredict/internal/trace"
+	"mpipredict/internal/tracestore"
 	"mpipredict/internal/workloads"
 )
 
@@ -38,11 +38,11 @@ func TestFlagParsing(t *testing.T) {
 		{name: "positional args rejected", args: []string{"table1"}, wantErr: "unexpected arguments"},
 		{name: "unknown experiment", args: []string{"-experiment", "table9"}, wantErr: `unknown experiment "table9"`},
 		{name: "nocache and cache-dir conflict", args: []string{"-nocache", "-cache-dir", "/tmp/x"}, wantErr: "mutually exclusive"},
-		{name: "missing trace file", args: []string{"-trace", "/no/such/file.mpt"}, wantErr: "no such file"},
-		{name: "trace with unsupported experiment", args: []string{"-trace", "x.mpt", "-experiment", "figure1"}, wantErr: ""},
-		{name: "trace rejects seed", args: []string{"-trace", "x.mpt", "-seed", "7"}, wantErr: "ignored with -trace"},
-		{name: "trace rejects iterations and cache-dir", args: []string{"-trace", "x.mpt", "-iterations", "2", "-cache-dir", "/tmp/x"}, wantErr: "ignored with -trace"},
-		{name: "trace rejects cache-stats", args: []string{"-trace", "x.mpt", "-cache-stats"}, wantErr: "ignored with -trace"},
+		{name: "missing trace file", args: []string{"-trace", "/no/such/file.mpts"}, wantErr: "no such file"},
+		{name: "trace with unsupported experiment", args: []string{"-trace", "x.mpts", "-experiment", "figure1"}, wantErr: ""},
+		{name: "trace rejects seed", args: []string{"-trace", "x.mpts", "-seed", "7"}, wantErr: "ignored with -trace"},
+		{name: "trace rejects iterations and cache-dir", args: []string{"-trace", "x.mpts", "-iterations", "2", "-cache-dir", "/tmp/x"}, wantErr: "ignored with -trace"},
+		{name: "trace rejects cache-stats", args: []string{"-trace", "x.mpts", "-cache-stats"}, wantErr: "ignored with -trace"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -79,7 +79,7 @@ func TestReplayRejectsNonReplayableExperiments(t *testing.T) {
 }
 
 // exportTestTrace simulates one tiny configuration and saves it as a
-// binary trace, mirroring what `tracegen -o` produces.
+// columnar store, mirroring what `tracegen -o` produces.
 func exportTestTrace(t *testing.T, app string, procs, iterations int, seed int64) string {
 	t.Helper()
 	tr, err := workloads.Run(workloads.RunConfig{
@@ -90,8 +90,8 @@ func exportTestTrace(t *testing.T, app string, procs, iterations int, seed int64
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), fmt.Sprintf("%s.%d.mpt", app, procs))
-	if err := trace.SaveBinaryFile(path, tr); err != nil {
+	path := filepath.Join(t.TempDir(), fmt.Sprintf("%s.%d.mpts", app, procs))
+	if err := tracestore.SaveTrace(path, tr); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -132,7 +132,7 @@ func TestReplayMatchesInMemoryPathExactly(t *testing.T) {
 // TestReplayGoldenFromCorpus replays the committed corpus trace and pins
 // the full CLI output (Table 1 + Figures 3/4) against a golden file.
 func TestReplayGoldenFromCorpus(t *testing.T) {
-	corpus := filepath.Join("..", "..", "testdata", "corpus", "bt.4.mpt")
+	corpus := filepath.Join("..", "..", "testdata", "corpus", "bt.4.mpts")
 	stdout, _, err := runCLI(t, "-trace", corpus, "-experiment", "all")
 	if err != nil {
 		t.Fatal(err)
@@ -213,6 +213,9 @@ func TestWarmDiskCacheNeedsZeroSimulations(t *testing.T) {
 	}
 	if hits := statValue(t, warm, "disk-hits"); hits != grid {
 		t.Errorf("warm run: disk-hits=%d, want %d", hits, grid)
+	}
+	if blocks := statValue(t, warm, "store-blocks"); blocks == 0 {
+		t.Error("warm run: store-blocks=0, want the store reads of the promoted entries")
 	}
 
 	// And the warm run's report must be identical to a cache-free one.

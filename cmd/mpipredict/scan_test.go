@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mpipredict/internal/trace"
 )
 
 // storeCorpus points at a committed columnar corpus file.
@@ -49,12 +51,6 @@ func TestScanFlagValidation(t *testing.T) {
 		{name: "cache flags stay rejected with -trace scan",
 			args: []string{"-trace", mpts, "-experiment", "scan", "-cache-dir", "/tmp/x"},
 			want: "ignored with -trace"},
-		{name: "-cache-format needs -cache-dir",
-			args: []string{"-experiment", "table1", "-cache-format", "mpts"},
-			want: "needs -cache-dir"},
-		{name: "unknown -cache-format",
-			args: []string{"-experiment", "table1", "-cache-dir", t.TempDir(), "-cache-format", "parquet"},
-			want: "unknown -cache-format"},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			_, _, err := runCLI(t, tt.args...)
@@ -66,11 +62,19 @@ func TestScanFlagValidation(t *testing.T) {
 }
 
 // TestScanRejectsFlatTrace checks the helpful hint when -experiment scan
-// is pointed at a flat .mpt file instead of a columnar store.
+// is pointed at a JSONL trace instead of a columnar store.
 func TestScanRejectsFlatTrace(t *testing.T) {
-	_, _, err := runCLI(t, "-trace", storeCorpus("cg.4.mpt"), "-experiment", "scan")
+	tr, err := trace.Load(storeCorpus("cg.4.mpts"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonl := filepath.Join(t.TempDir(), "cg.4.jsonl")
+	if err := trace.SaveFile(jsonl, tr); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = runCLI(t, "-trace", jsonl, "-experiment", "scan")
 	if err == nil || !strings.Contains(err.Error(), "tracegen -o file.mpts") {
-		t.Fatalf("scan over .mpt: got %v, want the .mpts export hint", err)
+		t.Fatalf("scan over JSONL: got %v, want the .mpts export hint", err)
 	}
 }
 

@@ -10,8 +10,8 @@
 //	mpipredictd -addr 127.0.0.1:8600 -snapshot state.mps -snapshot-interval 5m
 //	mpipredictd -addr 127.0.0.1:8600 -predictor markov1           # default strategy for new sessions
 //	mpipredictd -addr 127.0.0.1:8600 -predictor meta              # adaptive routing among all strategies
-//	mpipredictd -replay testdata/corpus/bt.4.mpt                  # serve and self-load
-//	mpipredictd -replay testdata/corpus/bt.4.mpt -target http://127.0.0.1:8600
+//	mpipredictd -replay testdata/corpus/bt.4.mpts                 # serve and self-load
+//	mpipredictd -replay testdata/corpus/bt.4.mpts -target http://127.0.0.1:8600
 //	mpipredictd -addr 127.0.0.1:8600 -listen-wire 127.0.0.1:8601  # also serve the binary wire protocol
 //	mpipredictd -loadgen 1000000 -target http://127.0.0.1:8600    # drive 1M synthetic events, report events/sec
 //
@@ -103,7 +103,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 	idleTTL := fset.Duration("idle-ttl", serve.DefaultIdleTTL, "evict sessions idle this long (negative disables)")
 	sweepEvery := fset.Duration("sweep-interval", time.Minute, "how often to sweep idle sessions")
 	listenWire := fset.String("listen-wire", "", "also serve the binary wire protocol on this address (host:port; advertised on /healthz for auto-negotiation)")
-	replayPath := fset.String("replay", "", "feed this trace file (.mpt or JSONL) through the observe API")
+	replayPath := fset.String("replay", "", "feed this trace file (.mpts or JSONL) through the observe API")
 	target := fset.String("target", "", "with -replay or -loadgen: send to this daemon URL (or wire://host:port) and exit instead of serving")
 	batch := fset.Int("replay-batch", 64, "events per observe request during replay")
 	transport := fset.String("transport", "", "replay/loadgen transport: auto (probe /healthz and prefer wire; default), http, or wire")

@@ -24,7 +24,7 @@ import (
 	"mpipredict/internal/workloads"
 )
 
-const corpusBT4 = "../../testdata/corpus/bt.4.mpt"
+const corpusBT4 = "../../testdata/corpus/bt.4.mpts"
 
 // syncBuffer guards concurrent writes from the daemon goroutine against
 // reads from the test.
@@ -321,7 +321,7 @@ func TestDaemonFlagValidation(t *testing.T) {
 		{"target rejects snapshot", []string{"-replay", corpusBT4, "-target", "http://x", "-snapshot", "s.mps"}, "ignored with -target"},
 		{"negative snapshot interval", []string{"-snapshot-interval", "-1s"}, "must not be negative"},
 		{"bad sweep interval", []string{"-sweep-interval", "0s"}, "must be positive"},
-		{"missing replay file", []string{"-replay", "/no/such/file.mpt"}, "no such file"},
+		{"missing replay file", []string{"-replay", "/no/such/file.mpts"}, "no such file"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -9,7 +9,7 @@
 //	scalesim -mode credits  -workload is -procs 32
 //	scalesim -mode protocol -workload lu -procs 4
 //	scalesim -mode memory   -predictor lastvalue
-//	scalesim -mode memory   -trace bt25.mpt
+//	scalesim -mode memory   -trace bt25.mpts
 //	scalesim -mode memory   -cache-dir ~/.cache/mpipredict -cache-stats
 //	scalesim -mode static-sweep
 //
@@ -68,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	procs := fs.Int("procs", 25, "number of simulated processes")
 	iterations := fs.Int("iterations", 0, "iteration override (0 = class A default)")
 	seed := fs.Int64("seed", 1, "simulation seed")
-	tracePath := fs.String("trace", "", "replay this trace file (.mpt or JSONL) instead of simulating")
+	tracePath := fs.String("trace", "", "replay this trace file (.mpts or JSONL) instead of simulating")
 	cacheDir := fs.String("cache-dir", "", "persist simulated traces under this directory and reuse them across runs")
 	cacheStats := fs.Bool("cache-stats", false, "print trace-cache statistics for this run to stderr")
 	versionFlag := fs.Bool("version", false, "print version and exit")
@@ -96,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// disk tier under cacheDir carries entries across runs and processes.
 	var cache *tracecache.Cache
 	if *cacheDir != "" {
-		cache = tracecache.NewDisk(*cacheDir)
+		cache = tracecache.NewDiskStore(*cacheDir)
 	}
 	if *cacheStats {
 		defer func() {

@@ -9,6 +9,7 @@ import (
 
 	"mpipredict/internal/simnet"
 	"mpipredict/internal/trace"
+	"mpipredict/internal/tracestore"
 	"mpipredict/internal/workloads"
 )
 
@@ -29,10 +30,10 @@ func TestFlagParsing(t *testing.T) {
 		{name: "positional args rejected", args: []string{"memory"}, wantErr: "unexpected arguments"},
 		{name: "unknown mode", args: []string{"-mode", "teleport", "-procs", "4", "-iterations", "1"}, wantErr: `unknown mode "teleport"`},
 		{name: "unknown workload", args: []string{"-workload", "nope"}, wantErr: "unknown workload"},
-		{name: "missing trace file", args: []string{"-trace", "/no/such/file.mpt"}, wantErr: "no such file"},
-		{name: "trace rejects workload/procs", args: []string{"-trace", "x.mpt", "-workload", "bt", "-procs", "25"}, wantErr: "ignored with -trace"},
-		{name: "trace rejects seed", args: []string{"-trace", "x.mpt", "-seed", "7"}, wantErr: "ignored with -trace"},
-		{name: "static-sweep rejects trace", args: []string{"-mode", "static-sweep", "-trace", "x.mpt"}, wantErr: "static-sweep"},
+		{name: "missing trace file", args: []string{"-trace", "/no/such/file.mpts"}, wantErr: "no such file"},
+		{name: "trace rejects workload/procs", args: []string{"-trace", "x.mpts", "-workload", "bt", "-procs", "25"}, wantErr: "ignored with -trace"},
+		{name: "trace rejects seed", args: []string{"-trace", "x.mpts", "-seed", "7"}, wantErr: "ignored with -trace"},
+		{name: "static-sweep rejects trace", args: []string{"-mode", "static-sweep", "-trace", "x.mpts"}, wantErr: "static-sweep"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -90,8 +91,8 @@ func TestTraceReplayMatchesDirectRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "bt4.mpt")
-	if err := trace.SaveBinaryFile(path, tr); err != nil {
+	path := filepath.Join(t.TempDir(), "bt4.mpts")
+	if err := tracestore.SaveTrace(path, tr); err != nil {
 		t.Fatal(err)
 	}
 	for _, mode := range []string{"memory", "credits", "protocol"} {
@@ -179,7 +180,7 @@ func TestCacheStatsWithoutCacheDir(t *testing.T) {
 // TestTraceRejectsCacheFlags extends the -trace conflict checks to the
 // cache flags.
 func TestTraceRejectsCacheFlags(t *testing.T) {
-	_, _, err := runCLI(t, "-trace", "x.mpt", "-cache-dir", "/tmp/x", "-cache-stats")
+	_, _, err := runCLI(t, "-trace", "x.mpts", "-cache-dir", "/tmp/x", "-cache-stats")
 	if err == nil || !strings.Contains(err.Error(), "ignored with -trace") {
 		t.Fatalf("error = %v, want the -trace conflict", err)
 	}

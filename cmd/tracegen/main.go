@@ -1,21 +1,22 @@
 // Command tracegen simulates one benchmark — or generates a synthetic
 // periodic stream — and exports its dual-level message trace (logical and
-// physical receive streams) as JSON lines or in the compact binary trace
-// format (.mpt) that cmd/mpipredict and cmd/scalesim can replay.
+// physical receive streams) as JSON lines or in the columnar trace store
+// format (.mpts) that cmd/mpipredict and cmd/scalesim can replay.
 //
 // Usage:
 //
 //	tracegen -workload bt -procs 9 -out bt9.jsonl
-//	tracegen -workload bt -procs 9 -o bt9.mpt
-//	tracegen -workload is -procs 32 -iterations 11 -all-receivers -o is32.mpt
-//	tracegen -workload lu -procs 16 -stream -o lu16.mpt
-//	tracegen -events 100000000 -period 18 -swap 0.05 -stream -o big.mpt
+//	tracegen -workload bt -procs 9 -o bt9.mpts
+//	tracegen -workload is -procs 32 -iterations 11 -all-receivers -o is32.mpts
+//	tracegen -workload lu -procs 16 -stream -o lu16.mpts
+//	tracegen -events 100000000 -period 18 -swap 0.05 -stream -o big.mpts
 //
 // With -stream, the export runs through the block pipeline
-// (internal/stream) straight into the streaming codec: events leave the
-// producer as they are generated and the trace is never materialized, so
-// -events can generate traces far larger than RAM in constant memory.
-// The streamed file is byte-identical to the in-memory path's.
+// (internal/stream) straight into the streaming store writer: events
+// leave the producer as they are generated and the trace is never
+// materialized, so -events can generate traces far larger than RAM in
+// constant memory. The streamed file is byte-identical to the in-memory
+// path's.
 package main
 
 import (
@@ -25,7 +26,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"mpipredict/internal/buildinfo"
 	"mpipredict/internal/cliutil"
@@ -56,13 +56,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	iterations := fs.Int("iterations", 0, "iteration override (0 = class A default)")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	out := fs.String("out", "", "JSONL output file (default: stdout)")
-	binOut := fs.String("o", "", "binary trace output file: .mpt (flat) or .mpts (columnar store); may be combined with -out")
+	binOut := fs.String("o", "", "columnar trace store output file (.mpts); may be combined with -out")
 	allReceivers := fs.Bool("all-receivers", false, "record the streams of every rank instead of only the typical receiver")
 	noiseless := fs.Bool("noiseless", false, "disable network jitter and load imbalance")
 	events := fs.Int("events", 0, "generate a synthetic periodic stream with this many events per level instead of simulating a workload")
 	period := fs.Int("period", 18, "with -events: length of the repeating (sender, size) pattern")
 	swap := fs.Float64("swap", 0, "with -events: per-position probability that adjacent physical arrivals swap")
-	streamMode := fs.Bool("stream", false, "export through the streaming block codec: constant memory, byte-identical output")
+	streamMode := fs.Bool("stream", false, "export through the streaming block pipeline: constant memory, byte-identical output")
 	list := fs.Bool("list", false, "list the available workloads and exit")
 	versionFlag := fs.Bool("version", false, "print version and exit")
 	if err := fs.Parse(args); err != nil {
@@ -154,24 +154,14 @@ func runSynthetic(cfg trace.SynthConfig, streamMode bool, binOut, jsonlOut strin
 	return writeTrace(trace.Synthesize(cfg), binOut, jsonlOut, stdout)
 }
 
-// storeOut reports whether a -o path selects the columnar trace store.
-func storeOut(binOut string) bool { return strings.HasSuffix(binOut, ".mpts") }
-
 // writeTrace is the in-memory export path shared by both modes.
 func writeTrace(tr *trace.Trace, binOut, jsonlOut string, stdout io.Writer) error {
-	switch {
-	case storeOut(binOut):
+	if binOut != "" {
 		if err := tracestore.SaveTrace(binOut, tr); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "wrote %d records (%d ranks traced) to %s (store v%d)\n",
 			tr.Len(), len(tr.Receivers()), binOut, tracestore.StoreVersion)
-	case binOut != "":
-		if err := trace.SaveBinaryFile(binOut, tr); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote %d records (%d ranks traced) to %s (binary v%d)\n",
-			tr.Len(), len(tr.Receivers()), binOut, trace.BinaryVersion)
 	}
 	switch {
 	case jsonlOut != "":
@@ -204,9 +194,9 @@ func (c *countingSink) Write(b *stream.EventBlock) error {
 }
 
 // streamExport drives a producer once, fanning the blocks into the
-// selected streaming codecs. The binary file is written atomically (temp
+// selected streaming writers. The store file is written atomically (temp
 // + rename) exactly like the in-memory path, so a failure partway never
-// leaves a truncated .mpt behind.
+// leaves a truncated .mpts behind.
 func streamExport(produce func(stream.Sink) error, app string, procs int, binOut, jsonlOut string, stdout io.Writer) error {
 	var sinks []stream.Sink
 	var finish []func() error
@@ -220,15 +210,7 @@ func streamExport(produce func(stream.Sink) error, app string, procs int, binOut
 		}
 		tmp := f.Name()
 		defer os.Remove(tmp) // no-op after the rename succeeds
-		var w interface {
-			WriteRecord(trace.Record) error
-			Close() error
-		}
-		if storeOut(binOut) {
-			w, err = tracestore.NewWriter(f, app, procs)
-		} else {
-			w, err = trace.NewWriter(f, app, procs)
-		}
+		w, err := tracestore.NewWriter(f, app, procs)
 		if err != nil {
 			f.Close()
 			return err
@@ -298,13 +280,9 @@ func streamExport(produce func(stream.Sink) error, app string, procs int, binOut
 	if finishErr != nil {
 		return finishErr
 	}
-	switch {
-	case storeOut(binOut):
+	if binOut != "" {
 		fmt.Fprintf(stdout, "wrote %d records (%d ranks traced) to %s (store v%d, streamed)\n",
 			counter.records, len(counter.receivers), binOut, tracestore.StoreVersion)
-	case binOut != "":
-		fmt.Fprintf(stdout, "wrote %d records (%d ranks traced) to %s (binary v%d, streamed)\n",
-			counter.records, len(counter.receivers), binOut, trace.BinaryVersion)
 	}
 	if jsonlOut != "" {
 		fmt.Fprintf(stdout, "wrote %d records (%d ranks traced) to %s (streamed)\n",

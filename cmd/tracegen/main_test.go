@@ -9,6 +9,7 @@ import (
 
 	"mpipredict/internal/simnet"
 	"mpipredict/internal/trace"
+	"mpipredict/internal/tracestore"
 	"mpipredict/internal/workloads"
 )
 
@@ -78,13 +79,13 @@ func TestStdoutJSONLRoundTrips(t *testing.T) {
 
 func TestBinaryExportMatchesDirectSimulation(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "bt4.mpt")
+	path := filepath.Join(dir, "bt4.mpts")
 	stdout, _, err := runCLI(t, "-workload", "bt", "-procs", "4", "-iterations", "2", "-seed", "7", "-o", path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(stdout, "binary v1") {
-		t.Errorf("summary line missing: %q", stdout)
+	if !strings.Contains(stdout, "store v1") {
+		t.Errorf("summary line missing the store marker: %q", stdout)
 	}
 	exported, err := trace.Load(path)
 	if err != nil {
@@ -104,11 +105,21 @@ func TestBinaryExportMatchesDirectSimulation(t *testing.T) {
 	if !reflect.DeepEqual(exported.Records, direct.Records) {
 		t.Error("exported trace differs from a direct simulation with the same configuration")
 	}
+	// The file opens through the store's own reader as well as through
+	// the trace.Open sniffing point used above.
+	r, err := tracestore.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Events() != int64(len(direct.Records)) {
+		t.Errorf("store indexes %d events, trace holds %d", r.Events(), len(direct.Records))
+	}
 }
 
 func TestBothOutputsAgree(t *testing.T) {
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "t.mpt")
+	bin := filepath.Join(dir, "t.mpts")
 	jsonl := filepath.Join(dir, "t.jsonl")
 	if _, _, err := runCLI(t, "-workload", "cg", "-procs", "4", "-iterations", "1", "-o", bin, "-out", jsonl); err != nil {
 		t.Fatal(err)
@@ -122,13 +133,13 @@ func TestBothOutputsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(fromBin.Records, fromJSONL.Records) {
-		t.Error("binary and JSONL exports of one run decode to different records")
+		t.Error("store and JSONL exports of one run decode to different records")
 	}
 }
 
 func TestAllReceiversExport(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "all.mpt")
+	path := filepath.Join(dir, "all.mpts")
 	if _, _, err := runCLI(t, "-workload", "bt", "-procs", "4", "-iterations", "1", "-all-receivers", "-o", path); err != nil {
 		t.Fatal(err)
 	}

@@ -3,56 +3,8 @@ package main
 import (
 	"os"
 	"path/filepath"
-	"reflect"
-	"strings"
 	"testing"
-
-	"mpipredict/internal/trace"
-	"mpipredict/internal/tracestore"
 )
-
-// TestStoreExportMatchesBinaryExport pins the .mpts output of -o against
-// the .mpt one: the same run exported in both formats decodes to
-// identical records, and the store file opens through both the
-// tracestore reader and the trace.Open sniffing point.
-func TestStoreExportMatchesBinaryExport(t *testing.T) {
-	dir := t.TempDir()
-	mpt := filepath.Join(dir, "t.mpt")
-	mpts := filepath.Join(dir, "t.mpts")
-	args := []string{"-workload", "cg", "-procs", "4", "-iterations", "2", "-seed", "3"}
-	if _, _, err := runCLI(t, append(args, "-o", mpt)...); err != nil {
-		t.Fatal(err)
-	}
-	stdout, _, err := runCLI(t, append(args, "-o", mpts)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(stdout, "store v1") {
-		t.Errorf("summary line missing the store marker: %q", stdout)
-	}
-	flat, err := trace.Load(mpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := trace.Load(mpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat.App != store.App || flat.Procs != store.Procs {
-		t.Fatalf("metadata: .mpt %s.%d, .mpts %s.%d", flat.App, flat.Procs, store.App, store.Procs)
-	}
-	if !reflect.DeepEqual(flat.Records, store.Records) {
-		t.Error(".mpts export decodes to different records than the .mpt export")
-	}
-	r, err := tracestore.Open(mpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.Events() != int64(len(flat.Records)) {
-		t.Errorf("store indexes %d events, trace holds %d", r.Events(), len(flat.Records))
-	}
-}
 
 // TestStreamedStoreExportByteIdentical extends the byte-identity
 // guarantee to the columnar format: -stream (block pipeline, constant

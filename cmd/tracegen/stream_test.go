@@ -35,13 +35,13 @@ func TestSyntheticFlagValidation(t *testing.T) {
 }
 
 // TestStreamedSyntheticExportByteIdentical is the satellite acceptance
-// test: for a small synthetic trace, -events -stream (block codec,
+// test: for a small synthetic trace, -events -stream (block pipeline,
 // constant memory) writes the byte-identical file that the in-memory
 // path produces, for both output formats.
 func TestStreamedSyntheticExportByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	for _, tt := range []struct{ flag, a, b string }{
-		{"-o", filepath.Join(dir, "mem.mpt"), filepath.Join(dir, "str.mpt")},
+		{"-o", filepath.Join(dir, "mem.mpts"), filepath.Join(dir, "str.mpts")},
 		{"-out", filepath.Join(dir, "mem.jsonl"), filepath.Join(dir, "str.jsonl")},
 	} {
 		args := []string{"-events", "500", "-period", "7", "-swap", "0.1", "-seed", "5"}
@@ -72,7 +72,7 @@ func TestStreamedSyntheticExportByteIdentical(t *testing.T) {
 // event count.
 func TestStreamedSyntheticExportLargerThanBuffered(t *testing.T) {
 	const events = 200_000 // per level; 400k records total
-	path := filepath.Join(t.TempDir(), "big.mpt")
+	path := filepath.Join(t.TempDir(), "big.mpts")
 	stdout, _, err := runCLI(t, "-events", strconv.Itoa(events), "-period", "18", "-swap", "0.02", "-stream", "-o", path)
 	if err != nil {
 		t.Fatal(err)
@@ -80,15 +80,11 @@ func TestStreamedSyntheticExportLargerThanBuffered(t *testing.T) {
 	if !strings.Contains(stdout, "streamed") {
 		t.Errorf("summary line missing the streamed marker: %q", stdout)
 	}
-	f, err := os.Open(path)
+	r, err := trace.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	r, err := trace.NewReader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer r.Close()
 	n := 0
 	for {
 		_, err := r.Read()
@@ -110,8 +106,8 @@ func TestStreamedSyntheticExportLargerThanBuffered(t *testing.T) {
 // trace Run materializes.
 func TestStreamedWorkloadExportByteIdentical(t *testing.T) {
 	dir := t.TempDir()
-	mem := filepath.Join(dir, "mem.mpt")
-	str := filepath.Join(dir, "str.mpt")
+	mem := filepath.Join(dir, "mem.mpts")
+	str := filepath.Join(dir, "str.mpts")
 	args := []string{"-workload", "cg", "-procs", "4", "-iterations", "2", "-seed", "3"}
 	if _, _, err := runCLI(t, append(args, "-o", mem)...); err != nil {
 		t.Fatal(err)

@@ -1,8 +1,8 @@
 package mpipredict
 
 // The golden trace corpus. testdata/corpus holds one tiny exported trace
-// per workload (binary .mpt format, two iterations, seed 1, default noisy
-// network, the typical receiver traced). The corpus plays two roles:
+// per workload (columnar .mpts store, two iterations, seed 1, default
+// noisy network, the typical receiver traced). The corpus plays two roles:
 //
 //   - it pins the simulator byte-for-byte across PRs: any change to a
 //     workload skeleton, the network model, the seeding discipline or the
@@ -43,11 +43,11 @@ type corpusSpec struct {
 // communication pattern, small enough to keep the repository light.
 func corpusSpecs() []corpusSpec {
 	return []corpusSpec{
-		{File: "bt.4.mpt", App: "bt", Procs: 4, Iterations: 2, Seed: 1},
-		{File: "cg.4.mpt", App: "cg", Procs: 4, Iterations: 2, Seed: 1},
-		{File: "lu.4.mpt", App: "lu", Procs: 4, Iterations: 2, Seed: 1},
-		{File: "is.4.mpt", App: "is", Procs: 4, Iterations: 2, Seed: 1},
-		{File: "sweep3d.6.mpt", App: "sweep3d", Procs: 6, Iterations: 2, Seed: 1},
+		{File: "bt.4.mpts", App: "bt", Procs: 4, Iterations: 2, Seed: 1},
+		{File: "cg.4.mpts", App: "cg", Procs: 4, Iterations: 2, Seed: 1},
+		{File: "lu.4.mpts", App: "lu", Procs: 4, Iterations: 2, Seed: 1},
+		{File: "is.4.mpts", App: "is", Procs: 4, Iterations: 2, Seed: 1},
+		{File: "sweep3d.6.mpts", App: "sweep3d", Procs: 6, Iterations: 2, Seed: 1},
 	}
 }
 
@@ -70,13 +70,15 @@ func corpusPath(file string) string {
 	return filepath.Join("testdata", "corpus", file)
 }
 
-// TestGoldenCorpusPinned re-simulates every corpus configuration and
-// requires the binary encoding to match the committed file exactly.
-func TestGoldenCorpusPinned(t *testing.T) {
+// TestGoldenCorpusStorePinned re-simulates every corpus configuration and
+// requires the store encoding to match the committed file exactly. The
+// parity suite (store_parity_test.go) and FuzzStoreCodec consume these
+// files.
+func TestGoldenCorpusStorePinned(t *testing.T) {
 	for _, c := range corpusSpecs() {
 		t.Run(c.File, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := trace.WriteBinary(&buf, simulateCorpusTrace(t, c)); err != nil {
+			if err := tracestore.WriteTrace(&buf, simulateCorpusTrace(t, c)); err != nil {
 				t.Fatal(err)
 			}
 			path := corpusPath(c.File)
@@ -95,49 +97,9 @@ func TestGoldenCorpusPinned(t *testing.T) {
 				t.Fatalf("missing corpus file (regenerate with -update): %v", err)
 			}
 			if !bytes.Equal(want, buf.Bytes()) {
-				t.Errorf("simulator or codec output for %s drifted from the committed corpus (%d vs %d bytes).\n"+
-					"If the change is intentional, regenerate with: go test -run TestGoldenCorpus -update .",
-					c.File, len(want), buf.Len())
-			}
-		})
-	}
-}
-
-// storeCorpusFile maps a corpus .mpt filename to its columnar sibling.
-func storeCorpusFile(file string) string {
-	return file + "s" // bt.4.mpt -> bt.4.mpts
-}
-
-// TestGoldenCorpusStorePinned is TestGoldenCorpusPinned for the columnar
-// .mpts siblings: every corpus trace is also committed in the store
-// format, pinned byte-for-byte. The parity suite (store_parity_test.go)
-// and FuzzStoreCodec consume these files.
-func TestGoldenCorpusStorePinned(t *testing.T) {
-	for _, c := range corpusSpecs() {
-		t.Run(storeCorpusFile(c.File), func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := tracestore.WriteTrace(&buf, simulateCorpusTrace(t, c)); err != nil {
-				t.Fatal(err)
-			}
-			path := corpusPath(storeCorpusFile(c.File))
-			if *updateCorpus {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("wrote %s (%d bytes)", path, buf.Len())
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing corpus file (regenerate with -update): %v", err)
-			}
-			if !bytes.Equal(want, buf.Bytes()) {
 				t.Errorf("simulator or store codec output for %s drifted from the committed corpus (%d vs %d bytes).\n"+
 					"If the change is intentional, regenerate with: go test -run TestGoldenCorpus -update .",
-					storeCorpusFile(c.File), len(want), buf.Len())
+					c.File, len(want), buf.Len())
 			}
 		})
 	}

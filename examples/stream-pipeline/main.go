@@ -5,8 +5,8 @@
 //
 // The pipeline built here:
 //
-//  1. a simulated workload is streamed straight into the binary codec
-//     (constant memory — the trace never exists as a whole),
+//  1. a simulated workload is streamed straight into the columnar store
+//     writer (constant memory — the trace never exists as a whole),
 //  2. the exported file is evaluated by streaming it through the scorers
 //     (evalx.EvaluateSource — identical numbers to the in-memory path),
 //  3. a robustness scenario is composed on the fly: the same file with
@@ -15,9 +15,9 @@
 //
 // The same flows are available from the command line:
 //
-//	tracegen -workload bt -procs 9 -stream -o bt9.mpt
-//	tracegen -events 100000000 -period 18 -stream -o big.mpt
-//	mpipredict -trace bt9.mpt -experiment figure4
+//	tracegen -workload bt -procs 9 -stream -o bt9.mpts
+//	tracegen -events 100000000 -period 18 -stream -o big.mpts
+//	mpipredict -trace bt9.mpts -experiment figure4
 package main
 
 import (
@@ -30,6 +30,7 @@ import (
 	"mpipredict/internal/simnet"
 	"mpipredict/internal/stream"
 	"mpipredict/internal/trace"
+	"mpipredict/internal/tracestore"
 	"mpipredict/internal/workloads"
 )
 
@@ -39,15 +40,16 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "bt9.mpt")
+	path := filepath.Join(dir, "bt9.mpts")
 
 	// 1. Simulate and export in one streaming pass: the simulator emits
-	// blocks, the codec writes them — the trace is never materialized.
+	// blocks, the store writer encodes them — the trace is never
+	// materialized.
 	f, err := os.Create(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	w, err := trace.NewWriter(f, "bt", 9)
+	w, err := tracestore.NewWriter(f, "bt", 9)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,11 +1,12 @@
 package benchdefs
 
 // The columnar-store benchmark bodies: a ≥1M-event synthetic trace
-// materialized once per process in both on-disk formats, then scanned
-// through the tracestore engine (projected, parallel, constant memory)
-// and through the trace.Load-then-iterate baseline the store replaces.
-// The committed snapshots carry the store-scan-vs-load speedup the
-// partitioned format exists to deliver.
+// written once per process as a .mpts store, then scanned through the
+// tracestore engine (projected, parallel, constant memory), streamed
+// record by record through trace.Open (the replay path), and
+// materialized with trace.Load (the load-then-iterate baseline). The
+// committed snapshots carry the scan-vs-load speedup the partitioned
+// format exists to deliver.
 
 import (
 	"context"
@@ -48,12 +49,11 @@ func StoreBenchConfig() trace.SynthConfig {
 	}
 }
 
-// StoreBenchEnv holds the once-per-process benchmark fixture: the same
-// ≥1M-event synthetic trace on disk in both formats, plus an open store
+// StoreBenchEnv holds the once-per-process benchmark fixture: the
+// ≥1M-event synthetic trace on disk as a store, plus an open store
 // reader (safe for concurrent scans — it reads through an io.ReaderAt).
 type StoreBenchEnv struct {
 	StorePath string
-	FlatPath  string
 	Events    int64
 
 	r *tracestore.Reader
@@ -79,43 +79,26 @@ func newStoreBenchEnv() (*StoreBenchEnv, error) {
 	if err != nil {
 		return nil, err
 	}
-	env := &StoreBenchEnv{
-		StorePath: filepath.Join(dir, "bench.mpts"),
-		FlatPath:  filepath.Join(dir, "bench.mpt"),
-	}
+	env := &StoreBenchEnv{StorePath: filepath.Join(dir, "bench.mpts")}
 	cfg := StoreBenchConfig()
 
-	// One streamed pass writes both formats: constant memory, identical
-	// record order, so the two files describe the same event stream.
+	// One streamed pass writes the store in constant memory.
 	sf, err := os.Create(env.StorePath)
 	if err != nil {
-		return nil, err
-	}
-	ff, err := os.Create(env.FlatPath)
-	if err != nil {
-		sf.Close()
 		return nil, err
 	}
 	sw, err := tracestore.NewWriter(sf, cfg.App, cfg.Procs)
 	if err != nil {
 		sf.Close()
-		ff.Close()
 		return nil, err
 	}
-	fw, err := trace.NewWriter(ff, cfg.App, cfg.Procs)
+	n, err := stream.Copy(stream.SinkTo(sw), stream.SynthSource(cfg))
 	if err != nil {
 		sf.Close()
-		ff.Close()
-		return nil, err
-	}
-	n, err := stream.Copy(stream.Tee(stream.SinkTo(sw), stream.SinkTo(fw)), stream.SynthSource(cfg))
-	if err != nil {
-		sf.Close()
-		ff.Close()
 		return nil, err
 	}
 	env.Events = n
-	for _, close := range []func() error{sw.Close, sf.Close, fw.Close, ff.Close} {
+	for _, close := range []func() error{sw.Close, sf.Close} {
 		if err := close(); err != nil {
 			return nil, err
 		}
@@ -154,10 +137,29 @@ func (e *StoreBenchEnv) ScanProjectedSizeSum(workers int) (int64, error) {
 	return sum, err
 }
 
-// LoadIterateTopK is the pre-store baseline the scan entries are measured
-// against: materialize the whole trace with trace.Load, then iterate.
+// RecordStream reads the store record by record through trace.Open, the
+// path every replay takes, and returns the number of records read.
+func (e *StoreBenchEnv) RecordStream() (int64, error) {
+	f, err := trace.Open(e.StorePath)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	var n int64
+	for {
+		if _, err := f.Read(); err == io.EOF {
+			return n, nil
+		} else if err != nil {
+			return n, err
+		}
+		n++
+	}
+}
+
+// LoadIterateTopK is the baseline the scan entries are measured against:
+// materialize the whole trace with trace.Load, then iterate.
 func (e *StoreBenchEnv) LoadIterateTopK() ([]tracestore.SenderCount, error) {
-	tr, err := trace.Load(e.FlatPath)
+	tr, err := trace.Load(e.StorePath)
 	if err != nil {
 		return nil, err
 	}

@@ -31,6 +31,9 @@ func TestStoreBenchScanMatchesBaseline(t *testing.T) {
 	if !reflect.DeepEqual(scan, base) {
 		t.Errorf("scan top-K %+v differs from load-iterate baseline %+v", scan, base)
 	}
+	if n, err := env.RecordStream(); err != nil || n != env.Events {
+		t.Errorf("record stream read %d records (%v), want %d", n, err, env.Events)
+	}
 	sum, err := env.ScanProjectedSizeSum(0)
 	if err != nil {
 		t.Fatal(err)

@@ -64,7 +64,7 @@ func clusterReplay(t *testing.T, c *testCluster, opts serve.ReplayOptions, names
 // golden corpus replayed through a 3-node cluster's gateway converges to
 // byte-identical session state as the same replay into one daemon.
 func TestClusterReplayParityWithSingleNode(t *testing.T) {
-	corpus := []string{"bt.4.mpt", "cg.4.mpt", "is.4.mpt"}
+	corpus := []string{"bt.4.mpts", "cg.4.mpts", "is.4.mpts"}
 	want := singleNodeReplayBytes(t, corpus...)
 
 	c := newTestCluster(t, 3, serve.Config{}, fastOptions())
@@ -160,7 +160,7 @@ func scoredRun(t *testing.T, baseURL, tenant, stream, predictor string, senders,
 // paper's accuracy. The meta subtest requires the cluster to match a
 // single daemon exactly for adaptive meta sessions too.
 func TestClusterScoredAccuracyMatchesOffline(t *testing.T) {
-	tr := corpusTrace(t, "bt.4.mpt")
+	tr := corpusTrace(t, "bt.4.mpts")
 	receiver, err := workloads.ReplayReceiver(tr)
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func TestClusterChaosOnGatewayBackendHop(t *testing.T) {
 	replayOpts := serve.ReplayOptions{BatchSize: 1, MaxRetries: 30, RetryBase: time.Millisecond}
 
 	clean := newTestCluster(t, 3, serve.Config{}, fastOptions())
-	clusterReplay(t, clean, replayOpts, "bt.4.mpt", "cg.4.mpt")
+	clusterReplay(t, clean, replayOpts, "bt.4.mpts", "cg.4.mpts")
 	want := clean.mergedSnapshotBytes(t)
 
 	chaos := faultinject.NewTransport(faultinject.Config{
@@ -232,7 +232,7 @@ func TestClusterChaosOnGatewayBackendHop(t *testing.T) {
 	opts.Client = &http.Client{Transport: chaos}
 	opts.MaxRetries = 30
 	c := newTestCluster(t, 3, serve.Config{}, opts)
-	clusterReplay(t, c, replayOpts, "bt.4.mpt", "cg.4.mpt")
+	clusterReplay(t, c, replayOpts, "bt.4.mpts", "cg.4.mpts")
 
 	got := c.mergedSnapshotBytes(t)
 	if !bytes.Equal(got, want) {
@@ -251,7 +251,7 @@ func TestClusterChaosOnGatewayBackendHop(t *testing.T) {
 // on its owner, and identical forecasts through the gateway.
 func TestClusterMigrationFromSingleNodeSnapshot(t *testing.T) {
 	single := newTestBackend(t, serve.Config{})
-	for _, name := range []string{"bt.4.mpt", "cg.4.mpt"} {
+	for _, name := range []string{"bt.4.mpts", "cg.4.mpts"} {
 		tr := corpusTrace(t, name)
 		if _, err := serve.Replay(context.Background(), single.ts.URL, tr, serve.ReplayOptions{}); err != nil {
 			t.Fatal(err)
@@ -305,7 +305,7 @@ func TestClusterMigrationFromSingleNodeSnapshot(t *testing.T) {
 // stream, the cluster's merged state is byte-identical to a single
 // daemon that never failed.
 func TestClusterKillOneBackendRecovery(t *testing.T) {
-	tr := corpusTrace(t, "bt.4.mpt")
+	tr := corpusTrace(t, "bt.4.mpts")
 	receiver, err := workloads.ReplayReceiver(tr)
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ func corpusPath(name string) string {
 	return filepath.Join("..", "..", "testdata", "corpus", name)
 }
 
-var corpusTraces = []string{"bt.4.mpt", "cg.4.mpt", "lu.4.mpt", "is.4.mpt", "sweep3d.6.mpt"}
+var corpusTraces = []string{"bt.4.mpts", "cg.4.mpts", "lu.4.mpts", "is.4.mpts", "sweep3d.6.mpts"}
 
 // resultsEqual compares every field of two Results, including the exact
 // per-horizon hit/total counters.
@@ -246,7 +246,7 @@ func TestPerturbedAndMergedCorpusAccuracy(t *testing.T) {
 		},
 	}
 
-	path := corpusPath("bt.4.mpt")
+	path := corpusPath("bt.4.mpts")
 	tr, err := trace.Load(path)
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +297,7 @@ func TestPerturbedAndMergedCorpusAccuracy(t *testing.T) {
 	}
 
 	t.Run("merged scenario preserves per-stream accuracy", func(t *testing.T) {
-		other := corpusPath("cg.4.mpt")
+		other := corpusPath("cg.4.mpts")
 		otherTr, err := trace.Load(other)
 		if err != nil {
 			t.Fatal(err)

@@ -2,7 +2,7 @@ package report
 
 // Golden-file regression tests for the rendered experiment reports. The
 // input is the committed trace corpus (testdata/corpus at the repository
-// root), so these tests pin the whole replay half of the pipeline — codec
+// root), so these tests pin the whole replay half of the pipeline — store
 // decode, characterisation, prediction evaluation and text rendering —
 // without running the simulator. Regenerate after an intentional change
 // with:
@@ -23,7 +23,7 @@ import (
 var update = flag.Bool("update", false, "regenerate golden files under testdata/")
 
 // corpusFiles lists the corpus in Table 1 order.
-var corpusFiles = []string{"bt.4.mpt", "cg.4.mpt", "lu.4.mpt", "is.4.mpt", "sweep3d.6.mpt"}
+var corpusFiles = []string{"bt.4.mpts", "cg.4.mpts", "lu.4.mpts", "is.4.mpts", "sweep3d.6.mpts"}
 
 func loadCorpus(t *testing.T) []*trace.Trace {
 	t.Helper()

@@ -139,7 +139,7 @@ func TestObserveHandlerColumnarBody(t *testing.T) {
 // corpus trace from a file source leaves the daemon in the identical
 // session state as replaying the materialized trace, and the stats agree.
 func TestReplaySourceMatchesReplay(t *testing.T) {
-	path := filepath.Join("..", "..", "testdata", "corpus", "bt.4.mpt")
+	path := filepath.Join("..", "..", "testdata", "corpus", "bt.4.mpts")
 	tr, err := trace.Load(path)
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,7 @@ func fastRetry() ReplayOptions {
 // returns the canonical snapshot encoding of the resulting sessions.
 func cleanReplayBytes(t *testing.T) []byte {
 	t.Helper()
-	tr := corpusTrace(t, "bt.4.mpt")
+	tr := corpusTrace(t, "bt.4.mpts")
 	srv := NewServer(NewRegistry(Config{}))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -61,7 +61,7 @@ func chaosConfig() faultinject.Config {
 // with every fault class actually exercised along the way.
 func TestChaosReplayConvergesByteIdentical(t *testing.T) {
 	want := cleanReplayBytes(t)
-	tr := corpusTrace(t, "bt.4.mpt")
+	tr := corpusTrace(t, "bt.4.mpts")
 
 	srv := NewServer(NewRegistry(Config{}))
 	ts := httptest.NewServer(srv)
@@ -106,7 +106,7 @@ func TestChaosReplayConvergesByteIdentical(t *testing.T) {
 // bodies as cut chunked replies) must converge identically too.
 func TestChaosReplayThroughServerMiddleware(t *testing.T) {
 	want := cleanReplayBytes(t)
-	tr := corpusTrace(t, "bt.4.mpt")
+	tr := corpusTrace(t, "bt.4.mpts")
 
 	srv := NewServer(NewRegistry(Config{}))
 	ts := httptest.NewServer(faultinject.Middleware(chaosConfig(), srv))
@@ -129,7 +129,7 @@ func TestChaosReplayThroughServerMiddleware(t *testing.T) {
 // server that sheds every other request with 429 + Retry-After must
 // still receive the full stream, once.
 func TestReplayRetriesHonorRetryAfter(t *testing.T) {
-	tr := corpusTrace(t, "bt.4.mpt")
+	tr := corpusTrace(t, "bt.4.mpts")
 	srv := NewServer(NewRegistry(Config{}))
 	var n, shed atomic.Int64
 	shedder := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -168,7 +168,7 @@ func TestReplayRetriesHonorRetryAfter(t *testing.T) {
 // 4xx (other than 429) is not retryable, so a broken request errors out
 // after exactly one attempt instead of hammering the server.
 func TestReplayDoesNotRetryPermanentErrors(t *testing.T) {
-	tr := corpusTrace(t, "bt.4.mpt")
+	tr := corpusTrace(t, "bt.4.mpts")
 	var attempts atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		attempts.Add(1)
@@ -188,7 +188,7 @@ func TestReplayDoesNotRetryPermanentErrors(t *testing.T) {
 // TestReplayContextCancellation pins the satellite contract: cancelling
 // the context aborts a replay stuck in retry loops.
 func TestReplayContextCancellation(t *testing.T) {
-	tr := corpusTrace(t, "bt.4.mpt")
+	tr := corpusTrace(t, "bt.4.mpts")
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "down", http.StatusServiceUnavailable)
 	}))

@@ -1,10 +1,10 @@
 package serve
 
-// The replay ingester: feed a recorded trace (any .mpt or JSONL file the
+// The replay ingester: feed a recorded trace (any .mpts or JSONL file the
 // repo can produce, or any composed stream.Source) through a running
 // daemon's HTTP API. Every traced (receiver, level) pair becomes one
 // session, so a corpus trace doubles as a load generator — `mpipredictd
-// -replay testdata/corpus/bt.4.mpt -target http://...` pushes the exact
+// -replay testdata/corpus/bt.4.mpts -target http://...` pushes the exact
 // event streams the offline harness evaluates, and the daemon's sessions
 // end up in the exact state the offline predictors reach.
 //

@@ -22,7 +22,7 @@ func corpusTrace(t *testing.T, name string) *trace.Trace {
 }
 
 func TestReplayFeedsEveryStream(t *testing.T) {
-	tr := corpusTrace(t, "bt.4.mpt")
+	tr := corpusTrace(t, "bt.4.mpts")
 	srv := NewServer(NewRegistry(Config{}))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -68,7 +68,7 @@ func TestReplayFeedsEveryStream(t *testing.T) {
 // test extends this to prediction *accuracy* matching the offline evalx
 // protocol.)
 func TestReplayedSessionMatchesOfflinePredictorState(t *testing.T) {
-	tr := corpusTrace(t, "bt.4.mpt")
+	tr := corpusTrace(t, "bt.4.mpts")
 	srv := NewServer(NewRegistry(Config{}))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -109,7 +109,7 @@ func snapshotFor(r *Registry, tenant, stream string) (SessionSnapshot, bool) {
 }
 
 func TestReplayAgainstDeadServer(t *testing.T) {
-	tr := corpusTrace(t, "bt.4.mpt")
+	tr := corpusTrace(t, "bt.4.mpts")
 	ts := httptest.NewServer(NewServer(NewRegistry(Config{})))
 	ts.Close() // dead before the replay starts
 	// Retries disabled: a permanently dead server would otherwise burn the
@@ -124,7 +124,7 @@ func TestReplayAgainstDeadServer(t *testing.T) {
 // (predict +1..+5 before each observation) and requires hit-for-hit
 // equality with evalx.EvaluateStream on the same stream.
 func TestReplayMatchesEvalxAccuracyOverHTTP(t *testing.T) {
-	tr := corpusTrace(t, "bt.4.mpt")
+	tr := corpusTrace(t, "bt.4.mpts")
 	receiver, err := workloads.ReplayReceiver(tr)
 	if err != nil {
 		t.Fatal(err)

@@ -62,7 +62,7 @@ func TestReplayMalformedRetryAfterStillRetries(t *testing.T) {
 				srv.ServeHTTP(w, r)
 			}))
 			defer ts.Close()
-			tr := corpusTrace(t, "bt.4.mpt")
+			tr := corpusTrace(t, "bt.4.mpts")
 			start := time.Now()
 			stats, err := Replay(context.Background(), ts.URL, tr, ReplayOptions{RetryBase: time.Millisecond})
 			if err != nil {
@@ -101,7 +101,7 @@ func TestReplayHonorsRetryAfterDate(t *testing.T) {
 		srv.ServeHTTP(w, r)
 	}))
 	defer ts.Close()
-	tr := corpusTrace(t, "bt.4.mpt")
+	tr := corpusTrace(t, "bt.4.mpts")
 	start := time.Now()
 	if _, err := Replay(context.Background(), ts.URL, tr, ReplayOptions{RetryBase: time.Millisecond}); err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestReplayCancellationMidBackoff(t *testing.T) {
 		http.Error(w, "always failing", http.StatusServiceUnavailable)
 	}))
 	defer ts.Close()
-	tr := corpusTrace(t, "bt.4.mpt")
+	tr := corpusTrace(t, "bt.4.mpts")
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {

@@ -1,10 +1,9 @@
 package serve
 
 // This file implements the persistent predictor-state snapshot format
-// (".mps"). It follows the same conventions as the binary trace format
-// (internal/trace/codec.go, DESIGN.md §3): a magic that pins the file
-// family, a version that readers reject when unknown, a tagged item
-// stream, and a CRC-32 trailer that detects any truncation or bit flip.
+// (".mps"): a magic that pins the file family, a version that readers
+// reject when unknown, a tagged item stream, and a CRC-32 trailer that
+// detects any truncation or bit flip (DESIGN.md §4).
 //
 // Layout ("uvarint" and "varint" refer to encoding/binary's unsigned and
 // zig-zag varints):
@@ -14,7 +13,7 @@ package serve
 //	items:  a sequence of tagged items, each introduced by one tag byte
 //	  tagSnapSession (0x01): uvarint-length tenant and stream strings,
 //	                         varint observed-event count, varint
-//	                         last-applied batch sequence (v3+), the
+//	                         last-applied batch sequence, the
 //	                         uvarint-length strategy name, then the sender
 //	                         and size strategy payloads (uvarint length +
 //	                         opaque bytes each, see internal/strategy)
@@ -22,23 +21,18 @@ package serve
 //	trailer [4]byte  little-endian CRC-32 (IEEE) of every byte from the
 //	                 magic through the session count inclusive
 //
-// Version 3 adds the per-session last-applied batch sequence number, the
-// state behind the observe API's duplicate suppression: a checkpoint that
-// restored predictor state but forgot which batches produced it would
-// re-learn re-delivered batches after a crash — exactly the corruption
-// idempotent retries exist to prevent — so the sequence is part of the
-// durable session, written between the observed count and the strategy
-// name. Version 2 files (no sequence field) are still read, restoring
-// with sequence 0 ("never saw a sequenced batch").
-//
-// Version 2 frames each predictor state as (strategy id, opaque payload)
-// instead of inlining DPD fields, which is what lets one file checkpoint a
-// daemon serving heterogeneous sessions: the reader rebuilds each session
-// through the strategy registry without knowing anything about the model
-// inside. Version 1 files (DPD-only, predictor fields inline) are still
-// read — their states are re-framed as "dpd" payloads, byte-compatible
-// because the dpd payload format is exactly the version-1 inline predictor
-// state. All files are written back as version 3.
+// Each predictor state is framed as (strategy id, opaque payload), which
+// is what lets one file checkpoint a daemon serving heterogeneous
+// sessions: the reader rebuilds each session through the strategy
+// registry without knowing anything about the model inside. The
+// per-session last-applied batch sequence number is the state behind the
+// observe API's duplicate suppression: a checkpoint that restored
+// predictor state but forgot which batches produced it would re-learn
+// re-delivered batches after a crash — exactly the corruption idempotent
+// retries exist to prevent — so the sequence is part of the durable
+// session, written between the observed count and the strategy name.
+// Only version 3 is read or written; earlier versions are rejected as
+// unsupported.
 //
 // The file holds no timestamps or other environmental state, and strategy
 // payloads are deterministic functions of predictor state, so
@@ -52,28 +46,18 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 
-	"mpipredict/internal/core"
 	"mpipredict/internal/strategy"
 )
 
 // snapshotMagic introduces every predictor snapshot file.
 var snapshotMagic = [4]byte{'M', 'P', 'S', 0x01}
 
-// SnapshotVersion is the current version of the snapshot format. Versions
-// 1 (DPD-only, no strategy framing) and 2 (strategy framing, no batch
-// sequence) are still accepted by ReadSnapshot.
+// SnapshotVersion is the version of the snapshot format, the only one
+// ReadSnapshot accepts.
 const SnapshotVersion = 3
-
-// snapshotVersion1 is the legacy DPD-only layout.
-const snapshotVersion1 = 1
-
-// snapshotVersion2 is the strategy-framed layout without the last-applied
-// batch sequence.
-const snapshotVersion2 = 2
 
 const (
 	tagSnapEnd     = 0x00
@@ -83,10 +67,6 @@ const (
 // maxSnapStringLen bounds tenant, stream and strategy names so a corrupt
 // length prefix cannot force a huge allocation.
 const maxSnapStringLen = 1 << 16
-
-// maxSnapSliceLen bounds window, pattern and outcome-ring lengths read
-// from a version-1 file before they are handed to core validation.
-const maxSnapSliceLen = 1 << 20
 
 // maxSnapPayloadLen bounds one strategy payload. It comfortably covers
 // every registered strategy's worst case (the dpd window and the markov1
@@ -119,8 +99,8 @@ type SessionSnapshot struct {
 	Size     []byte
 }
 
-// snapWriter mirrors the trace codec's Writer: buffered, CRC over every
-// byte, first error sticks.
+// snapWriter is the snapshot encoder: buffered, CRC over every byte,
+// first error sticks.
 type snapWriter struct {
 	bw  *bufio.Writer
 	crc uint32
@@ -210,8 +190,8 @@ func WriteSnapshot(w io.Writer, sessions []SessionSnapshot) error {
 	return sw.bw.Flush()
 }
 
-// snapReader mirrors the trace codec's Reader, keeping the CRC in sync
-// with every byte consumed.
+// snapReader is the snapshot decoder, keeping the CRC in sync with every
+// byte consumed.
 type snapReader struct {
 	br  *bufio.Reader
 	crc uint32
@@ -269,125 +249,9 @@ func (r *snapReader) readPayload() ([]byte, error) {
 	return buf, nil
 }
 
-func (r *snapReader) readInt64s() ([]int64, error) {
-	n, err := r.readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxSnapSliceLen {
-		return nil, fmt.Errorf("slice length %d exceeds the format limit %d", n, maxSnapSliceLen)
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		if out[i], err = r.readVarint(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// readPredictorV1 decodes the version-1 inline predictor state into a core
-// snapshot. The field order is shared with the dpd strategy payload
-// (strategy.EncodeDPDState), so a decoded state re-frames losslessly.
-func (r *snapReader) readPredictorV1() (core.PredictorSnapshot, error) {
-	var s core.PredictorSnapshot
-	fields := []*int{
-		&s.Config.WindowSize, &s.Config.MaxLag, &s.Config.MinRepeats,
-		&s.Config.ConfirmRuns, &s.Config.HoldDown,
-	}
-	for _, f := range fields {
-		v, err := r.readVarint()
-		if err != nil {
-			return s, err
-		}
-		*f = int(v)
-	}
-	bits, err := r.readUvarint()
-	if err != nil {
-		return s, err
-	}
-	s.Config.LockTolerance = math.Float64frombits(bits)
-	v, err := r.readVarint()
-	if err != nil {
-		return s, err
-	}
-	s.Config.RelearnWindow = int(v)
-	if bits, err = r.readUvarint(); err != nil {
-		return s, err
-	}
-	s.Config.RelearnMissRate = math.Float64frombits(bits)
-	if s.WindowObserved, err = r.readVarint(); err != nil {
-		return s, err
-	}
-	if s.Window, err = r.readInt64s(); err != nil {
-		return s, err
-	}
-	state, err := r.ReadByte()
-	if err != nil {
-		return s, err
-	}
-	s.State = core.LockState(state)
-	if s.Pattern, err = r.readInt64s(); err != nil {
-		return s, err
-	}
-	if v, err = r.readVarint(); err != nil {
-		return s, err
-	}
-	s.Phase = int(v)
-	if v, err = r.readVarint(); err != nil {
-		return s, err
-	}
-	s.MissStreak = int(v)
-	n, err := r.readUvarint()
-	if err != nil {
-		return s, err
-	}
-	if n > maxSnapSliceLen {
-		return s, fmt.Errorf("outcome ring length %d exceeds the format limit %d", n, maxSnapSliceLen)
-	}
-	if n > 0 {
-		s.Recent = make([]bool, n)
-		for i := range s.Recent {
-			b, err := r.ReadByte()
-			if err != nil {
-				return s, err
-			}
-			switch b {
-			case 0:
-				s.Recent[i] = false
-			case 1:
-				s.Recent[i] = true
-			default:
-				return s, fmt.Errorf("invalid outcome byte 0x%02x", b)
-			}
-		}
-	}
-	if v, err = r.readVarint(); err != nil {
-		return s, err
-	}
-	s.CandidatePeriod = int(v)
-	if v, err = r.readVarint(); err != nil {
-		return s, err
-	}
-	s.CandidateRuns = int(v)
-	counters := []*int64{
-		&s.Counters.Observed, &s.Counters.Locks, &s.Counters.Unlocks,
-		&s.Counters.HitsWhile, &s.Counters.MissesWhile,
-	}
-	for _, c := range counters {
-		if *c, err = r.readVarint(); err != nil {
-			return s, err
-		}
-	}
-	return s, nil
-}
-
 // ReadSnapshot reads a complete snapshot previously written by
-// WriteSnapshot (or by a version-1 writer). Beyond the structural checks
-// (magic, version, tags, session count, CRC) every strategy payload is
+// WriteSnapshot. Beyond the structural checks (magic, version, tags,
+// session count, CRC) every strategy payload is
 // validated by a trial restore through the strategy registry, so a
 // snapshot that decodes but cannot produce a working predictor is rejected
 // here, not at serving time. Trailing bytes after the trailer are
@@ -406,7 +270,7 @@ func ReadSnapshot(r io.Reader) ([]SessionSnapshot, error) {
 	if err != nil {
 		return nil, snapCorruptf("reading version: %v", err)
 	}
-	if version != SnapshotVersion && version != snapshotVersion2 && version != snapshotVersion1 {
+	if version != SnapshotVersion {
 		return nil, snapCorruptf("unsupported version %d (have %d)", version, SnapshotVersion)
 	}
 	var sessions []SessionSnapshot
@@ -418,7 +282,7 @@ func ReadSnapshot(r io.Reader) ([]SessionSnapshot, error) {
 		}
 		switch tag {
 		case tagSnapSession:
-			snap, err := readSession(sr, version)
+			snap, err := readSession(sr)
 			if err != nil {
 				return nil, err
 			}
@@ -454,7 +318,7 @@ func ReadSnapshot(r io.Reader) ([]SessionSnapshot, error) {
 	}
 }
 
-func readSession(sr *snapReader, version uint64) (SessionSnapshot, error) {
+func readSession(sr *snapReader) (SessionSnapshot, error) {
 	var snap SessionSnapshot
 	var err error
 	if snap.Tenant, err = sr.readString(); err != nil {
@@ -472,42 +336,24 @@ func readSession(sr *snapReader, version uint64) (SessionSnapshot, error) {
 	if snap.Observed < 0 {
 		return snap, snapCorruptf("negative observed count %d", snap.Observed)
 	}
-	if version >= SnapshotVersion {
-		if snap.LastSeq, err = sr.readVarint(); err != nil {
-			return snap, snapCorruptf("reading batch sequence of %q/%q: %v", snap.Tenant, snap.Stream, err)
-		}
-		if snap.LastSeq < 0 {
-			return snap, snapCorruptf("negative batch sequence %d of %q/%q", snap.LastSeq, snap.Tenant, snap.Stream)
-		}
+	if snap.LastSeq, err = sr.readVarint(); err != nil {
+		return snap, snapCorruptf("reading batch sequence of %q/%q: %v", snap.Tenant, snap.Stream, err)
 	}
-	if version == snapshotVersion1 {
-		// Legacy DPD-only layout: inline predictor fields, re-framed as
-		// dpd strategy payloads.
-		snap.Strategy = "dpd"
-		sender, err := sr.readPredictorV1()
-		if err != nil {
-			return snap, snapCorruptf("reading sender predictor of %q/%q: %v", snap.Tenant, snap.Stream, err)
-		}
-		size, err := sr.readPredictorV1()
-		if err != nil {
-			return snap, snapCorruptf("reading size predictor of %q/%q: %v", snap.Tenant, snap.Stream, err)
-		}
-		snap.Sender = strategy.EncodeDPDState(sender)
-		snap.Size = strategy.EncodeDPDState(size)
-	} else {
-		if snap.Strategy, err = sr.readString(); err != nil {
-			return snap, snapCorruptf("reading strategy of %q/%q: %v", snap.Tenant, snap.Stream, err)
-		}
-		if !strategy.Known(snap.Strategy) {
-			return snap, snapCorruptf("session %q/%q uses unknown strategy %q (known: %v)",
-				snap.Tenant, snap.Stream, snap.Strategy, strategy.Names())
-		}
-		if snap.Sender, err = sr.readPayload(); err != nil {
-			return snap, snapCorruptf("reading sender state of %q/%q: %v", snap.Tenant, snap.Stream, err)
-		}
-		if snap.Size, err = sr.readPayload(); err != nil {
-			return snap, snapCorruptf("reading size state of %q/%q: %v", snap.Tenant, snap.Stream, err)
-		}
+	if snap.LastSeq < 0 {
+		return snap, snapCorruptf("negative batch sequence %d of %q/%q", snap.LastSeq, snap.Tenant, snap.Stream)
+	}
+	if snap.Strategy, err = sr.readString(); err != nil {
+		return snap, snapCorruptf("reading strategy of %q/%q: %v", snap.Tenant, snap.Stream, err)
+	}
+	if !strategy.Known(snap.Strategy) {
+		return snap, snapCorruptf("session %q/%q uses unknown strategy %q (known: %v)",
+			snap.Tenant, snap.Stream, snap.Strategy, strategy.Names())
+	}
+	if snap.Sender, err = sr.readPayload(); err != nil {
+		return snap, snapCorruptf("reading sender state of %q/%q: %v", snap.Tenant, snap.Stream, err)
+	}
+	if snap.Size, err = sr.readPayload(); err != nil {
+		return snap, snapCorruptf("reading size state of %q/%q: %v", snap.Tenant, snap.Stream, err)
 	}
 	// A trial restore applies the full strategy validation surface, so no
 	// structurally valid but semantically corrupt state survives loading.

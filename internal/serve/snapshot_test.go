@@ -1,14 +1,13 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mpipredict/internal/core"
@@ -145,11 +144,17 @@ func TestSnapshotCodecRejectsTrailingGarbage(t *testing.T) {
 	}
 }
 
+// TestSnapshotCodecRejectsWrongVersion covers future versions and the
+// retired versions 1 (DPD-only) and 2 (no batch sequence) alike: only
+// the current version is read.
 func TestSnapshotCodecRejectsWrongVersion(t *testing.T) {
-	data := encodeSnapshot(t, nil)
-	data[4] = 99 // version byte follows the 4-byte magic
-	if _, err := ReadSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrCorruptSnapshot) {
-		t.Fatalf("unknown version: got %v, want ErrCorruptSnapshot", err)
+	for _, version := range []byte{1, 2, 99} {
+		data := encodeSnapshot(t, sampleSessions(t))
+		data[4] = version // version byte follows the 4-byte magic
+		_, err := ReadSnapshot(bytes.NewReader(data))
+		if !errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), "unsupported version") {
+			t.Fatalf("version %d: got %v, want an unsupported-version ErrCorruptSnapshot", version, err)
+		}
 	}
 }
 
@@ -279,110 +284,6 @@ func TestWriteSnapshotRejectsEmptyKeys(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteSnapshot(&buf, r.SnapshotSessions()); err == nil {
 		t.Fatal("WriteSnapshot accepted an empty session key")
-	}
-}
-
-// writeV1Snapshot builds a legacy version-1 file from dpd sessions: the
-// v1 inline predictor layout is byte-identical to the dpd strategy
-// payload, so the payload bytes are spliced in raw.
-func writeV1Snapshot(t testing.TB, sessions []SessionSnapshot) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	sw := &snapWriter{bw: bufio.NewWriter(&buf)}
-	sw.write(snapshotMagic[:])
-	sw.writeUvarint(snapshotVersion1)
-	for _, s := range sessions {
-		if s.Strategy != "dpd" {
-			t.Fatalf("version 1 cannot hold strategy %q", s.Strategy)
-		}
-		sw.writeByte(tagSnapSession)
-		sw.writeString(s.Tenant)
-		sw.writeString(s.Stream)
-		sw.writeVarint(s.Observed)
-		sw.write(s.Sender)
-		sw.write(s.Size)
-	}
-	sw.writeByte(tagSnapEnd)
-	sw.writeUvarint(uint64(len(sessions)))
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], sw.crc)
-	if sw.err != nil {
-		t.Fatal(sw.err)
-	}
-	if _, err := sw.bw.Write(trailer[:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestSnapshotCodecReadsVersion1 pins backward compatibility: a legacy
-// DPD-only file decodes to exactly the sessions a current-version file of
-// the same state holds, so a daemon upgraded across the format change
-// warm-restarts from its old checkpoint.
-func TestSnapshotCodecReadsVersion1(t *testing.T) {
-	want := sampleSessions(t)
-	got, err := ReadSnapshot(bytes.NewReader(writeV1Snapshot(t, want)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("version-1 decode mismatch:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// writeV2Snapshot builds a legacy version-2 file: the strategy-framed
-// layout before the last-applied batch sequence was added between the
-// observed count and the strategy name.
-func writeV2Snapshot(t testing.TB, sessions []SessionSnapshot) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	sw := &snapWriter{bw: bufio.NewWriter(&buf)}
-	sw.write(snapshotMagic[:])
-	sw.writeUvarint(snapshotVersion2)
-	for _, s := range sessions {
-		sw.writeByte(tagSnapSession)
-		sw.writeString(s.Tenant)
-		sw.writeString(s.Stream)
-		sw.writeVarint(s.Observed)
-		sw.writeString(s.Strategy)
-		sw.writePayload(s.Sender)
-		sw.writePayload(s.Size)
-	}
-	sw.writeByte(tagSnapEnd)
-	sw.writeUvarint(uint64(len(sessions)))
-	var trailer [4]byte
-	binary.LittleEndian.PutUint32(trailer[:], sw.crc)
-	if sw.err != nil {
-		t.Fatal(sw.err)
-	}
-	if _, err := sw.bw.Write(trailer[:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestSnapshotCodecReadsVersion2 pins backward compatibility with the
-// pre-idempotency format: a version-2 file decodes to the same sessions
-// with LastSeq zero, so a daemon upgraded across the format change
-// warm-restarts from its old checkpoint (and simply has no dedup history
-// for batches it learned before the upgrade).
-func TestSnapshotCodecReadsVersion2(t *testing.T) {
-	want := sampleSessions(t)
-	for i := range want {
-		want[i].LastSeq = 0
-	}
-	got, err := ReadSnapshot(bytes.NewReader(writeV2Snapshot(t, want)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("version-2 decode mismatch:\n got %+v\nwant %+v", got, want)
 	}
 }
 

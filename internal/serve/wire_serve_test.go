@@ -46,7 +46,7 @@ func startWireServer(t *testing.T, srv *Server) (*WireServer, string) {
 // snapshot bytes.
 func cleanReplayBytesWith(t *testing.T, cfg Config) []byte {
 	t.Helper()
-	tr := corpusTrace(t, "bt.4.mpt")
+	tr := corpusTrace(t, "bt.4.mpts")
 	srv := NewServer(NewRegistry(cfg))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -71,7 +71,7 @@ func TestWireReplayByteIdenticalToHTTP(t *testing.T) {
 			defer ts.Close()
 			_, _ = startWireServer(t, srv)
 
-			tr := corpusTrace(t, "bt.4.mpt")
+			tr := corpusTrace(t, "bt.4.mpts")
 			stats, err := Replay(context.Background(), ts.URL, tr, ReplayOptions{BatchSize: 1, Transport: TransportAuto})
 			if err != nil {
 				t.Fatalf("wire replay: %v", err)
@@ -96,7 +96,7 @@ func TestWireReplayByteIdenticalToHTTP(t *testing.T) {
 // to the exact clean-replay bytes.
 func TestWireChaosReplayConvergesByteIdentical(t *testing.T) {
 	want := cleanReplayBytes(t)
-	tr := corpusTrace(t, "bt.4.mpt")
+	tr := corpusTrace(t, "bt.4.mpts")
 
 	srv := NewServer(NewRegistry(Config{}))
 	ws := NewWireServer(srv)
@@ -494,7 +494,7 @@ func TestWireReplayCancellationUnwinds(t *testing.T) {
 		}
 	}()
 
-	tr := corpusTrace(t, "bt.4.mpt")
+	tr := corpusTrace(t, "bt.4.mpts")
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {

@@ -9,6 +9,7 @@ import (
 	"mpipredict/internal/simnet"
 	"mpipredict/internal/stream"
 	"mpipredict/internal/trace"
+	"mpipredict/internal/tracestore"
 )
 
 // ringProgram is a tiny SPMD program: every rank sends to its right
@@ -46,12 +47,12 @@ func TestRunStreamMatchesRun(t *testing.T) {
 		t.Error("streamed records differ from the trace Run builds")
 	}
 
-	// And through the binary codec the two paths are byte-identical.
+	// And through the store encoder the two paths are byte-identical.
 	var inMemory, streamed bytes.Buffer
-	if err := trace.WriteBinary(&inMemory, want); err != nil {
+	if err := tracestore.WriteTrace(&inMemory, want); err != nil {
 		t.Fatal(err)
 	}
-	w, err := trace.NewWriter(&streamed, cfg.App, cfg.Procs)
+	w, err := tracestore.NewWriter(&streamed, cfg.App, cfg.Procs)
 	if err != nil {
 		t.Fatal(err)
 	}

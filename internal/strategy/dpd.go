@@ -83,9 +83,7 @@ func (d *DPD) PredictorPeriod() (int, bool) { return d.sp.Period() }
 func (d *DPD) Stream() *core.StreamPredictor { return d.sp }
 
 // EncodeDPDState serializes a core predictor snapshot to the dpd payload
-// format. The field order matches the version-1 serving snapshot format's
-// inline predictor state (DESIGN.md §4), which is what lets the version-1
-// reader re-frame old files as dpd payloads without re-deriving anything:
+// format:
 //
 //	varint  WindowSize, MaxLag, MinRepeats, ConfirmRuns, HoldDown
 //	uvarint Float64bits(LockTolerance)

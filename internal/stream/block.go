@@ -191,8 +191,8 @@ func (s *traceSource) Next(b *EventBlock) error {
 	return nil
 }
 
-// RecordWriter is the record-at-a-time writing side both trace codecs
-// expose (trace.Writer for binary, trace.JSONLWriter for JSONL).
+// RecordWriter is the record-at-a-time writing side both trace formats
+// expose (tracestore.Writer for .mpts, trace.JSONLWriter for JSONL).
 type RecordWriter interface {
 	WriteRecord(trace.Record) error
 }
@@ -202,7 +202,7 @@ type recordSink struct{ w RecordWriter }
 
 // SinkTo returns a Sink that writes every event of every block through
 // the given record writer — the bridge from the block pipeline onto the
-// streaming trace codecs.
+// streaming trace writers.
 func SinkTo(w RecordWriter) Sink { return recordSink{w} }
 
 func (s recordSink) Write(b *EventBlock) error {

@@ -4,9 +4,12 @@ import (
 	"io"
 
 	"mpipredict/internal/trace"
+	// Registers the .mpts store with trace.Open, so every file source
+	// reads the repository's binary trace format.
+	_ "mpipredict/internal/tracestore"
 )
 
-// FileSource streams a trace file (binary .mpt or JSONL, sniffed by
+// FileSource streams a trace file (a .mpts store or JSONL, sniffed by
 // trace.Open) block by block. It holds the open file; callers Close it —
 // Copy/Gather and the evalx/serve consumers do so through stream.Close.
 type FileSource struct {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mpipredict/internal/trace"
+	"mpipredict/internal/tracestore"
 )
 
 // synthCfg is the shared synthetic configuration of these tests: a
@@ -136,15 +137,15 @@ func TestSynthSourceMatchesSynthesize(t *testing.T) {
 }
 
 // TestSynthSourceCodecBytesIdentical streams the generator through the
-// binary codec and compares bytes with the whole-trace writer.
+// store encoder and compares bytes with the whole-trace writer.
 func TestSynthSourceCodecBytesIdentical(t *testing.T) {
 	cfg := synthCfg(300)
 	var inMemory bytes.Buffer
-	if err := trace.WriteBinary(&inMemory, trace.Synthesize(cfg)); err != nil {
+	if err := tracestore.WriteTrace(&inMemory, trace.Synthesize(cfg)); err != nil {
 		t.Fatal(err)
 	}
 	var streamed bytes.Buffer
-	w, err := trace.NewWriter(&streamed, cfg.App, cfg.Procs)
+	w, err := tracestore.NewWriter(&streamed, cfg.App, cfg.Procs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestSynthSourceCodecBytesIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(inMemory.Bytes(), streamed.Bytes()) {
-		t.Error("streamed binary trace differs from the in-memory one")
+		t.Error("streamed store differs from the in-memory one")
 	}
 }
 
@@ -271,9 +272,9 @@ func TestPerturbNoOpIsIdentity(t *testing.T) {
 func TestFileSourceStreamsBothFormats(t *testing.T) {
 	tr := trace.Synthesize(synthCfg(1200))
 	dir := t.TempDir()
-	bin := dir + "/t.mpt"
+	bin := dir + "/t.mpts"
 	jsonl := dir + "/t.jsonl"
-	if err := trace.SaveBinaryFile(bin, tr); err != nil {
+	if err := tracestore.SaveTrace(bin, tr); err != nil {
 		t.Fatal(err)
 	}
 	if err := trace.SaveFile(jsonl, tr); err != nil {
@@ -295,7 +296,7 @@ func TestFileSourceStreamsBothFormats(t *testing.T) {
 			t.Errorf("%s: streamed records differ from the saved trace", path)
 		}
 	}
-	if _, err := OpenFile(dir + "/missing.mpt"); err == nil {
+	if _, err := OpenFile(dir + "/missing.mpts"); err == nil {
 		t.Error("OpenFile of a missing file succeeded")
 	}
 }
@@ -303,7 +304,7 @@ func TestFileSourceStreamsBothFormats(t *testing.T) {
 func TestTeeWritesAllSinks(t *testing.T) {
 	cfg := synthCfg(100)
 	var b1, b2 bytes.Buffer
-	w1, err := trace.NewWriter(&b1, cfg.App, cfg.Procs)
+	w1, err := tracestore.NewWriter(&b1, cfg.App, cfg.Procs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,16 +324,18 @@ func TestTeeWritesAllSinks(t *testing.T) {
 	if b1.Len() == 0 || b2.Len() == 0 {
 		t.Fatal("one of the teed sinks stayed empty")
 	}
-	got, err := trace.ReadBinary(bytes.NewReader(b1.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Store writes are deterministic, so the JSONL side re-encoded as a
+	// store must reproduce the teed store byte for byte.
 	fromJSONL, err := trace.ReadJSONL(bytes.NewReader(b2.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Records, fromJSONL.Records) {
-		t.Error("binary and JSONL tee outputs decode to different traces")
+	var again bytes.Buffer
+	if err := tracestore.WriteTrace(&again, fromJSONL); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b1.Bytes(), again.Bytes()) {
+		t.Error("store and JSONL tee outputs hold different traces")
 	}
 }
 

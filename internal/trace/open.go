@@ -4,10 +4,9 @@ package trace
 // trace formats apart. Every consumer that accepts "a trace file" — the
 // evaluation replays, the serve ingester, all CLIs — goes through it
 // (directly or via Load), so the magic sniffing logic exists exactly
-// once. The two formats this package owns (binary .mpt, JSONL) are built
-// in; other packages hook their formats in via RegisterFormat (the
-// columnar .mpts store in internal/tracestore does) without this package
-// importing them.
+// once. JSONL, the human-readable form, is built in; binary formats hook
+// in via RegisterFormat (the columnar .mpts store in internal/tracestore
+// does) without this package importing them.
 
 import (
 	"bufio"
@@ -16,10 +15,10 @@ import (
 	"os"
 )
 
-// FormatReader is the record-at-a-time surface an externally registered
-// trace format exposes through Open: the same contract File itself
-// offers. Read returns events in stream order until io.EOF; Close
-// releases the underlying file.
+// FormatReader is the record-at-a-time surface a trace format exposes
+// through Open: the same contract File itself offers. Read returns
+// events in stream order until io.EOF; Close releases the underlying
+// file.
 type FormatReader interface {
 	App() string
 	Procs() int
@@ -39,149 +38,71 @@ var formats []registeredFormat
 // RegisterFormat hooks a trace format into Open's sniffing: when the
 // first four bytes of a file equal magic, Open closes its handle and
 // delegates to open. Call it from an init function only; the registry is
-// not synchronized. Registering the built-in binary magic would shadow
-// the native reader and panics.
+// not synchronized.
 func RegisterFormat(magic [4]byte, open func(path string) (FormatReader, error)) {
-	if magic == binaryMagic {
-		panic("trace: RegisterFormat called with the built-in binary magic")
-	}
 	formats = append(formats, registeredFormat{magic: magic, open: open})
 }
 
-// File is an open trace file being read record by record, in either
+// File is an open trace file being read record by record, in any
 // supported format. It is the streaming sibling of Load: App and Procs
 // come from the file header, Read returns events in stream order until
-// io.EOF, and nothing beyond the I/O buffer is held in memory.
+// io.EOF, and nothing beyond the format's read buffer is held in memory.
 type File struct {
-	f     *os.File
-	path  string
-	app   string
-	procs int
-
-	// Exactly one of the three is non-nil, selected by the magic sniff.
-	bin   *Reader
-	jsonl *JSONLReader
-	ext   FormatReader
-	// br is the buffered view the binary reader consumes; kept so Read
-	// can reject trailing bytes after the trailer, exactly like Load.
-	br *bufio.Reader
+	r FormatReader
 }
+
+// jsonlFile is a JSONL reader together with the file it owns.
+type jsonlFile struct {
+	*JSONLReader
+	f *os.File
+}
+
+func (j jsonlFile) Close() error { return j.f.Close() }
 
 // Open opens the named trace file, sniffs the leading magic to pick the
 // format, consumes the header and returns a File positioned at the first
 // record. The caller must Close it. Registered formats (.mpts) reopen
-// the path through their own reader, which then owns the file handle.
+// the path through their own reader, which then owns the file handle;
+// anything else is read as JSONL.
 func Open(path string) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: opening %s: %w", path, err)
 	}
-	var head [4]byte
-	if n, err := io.ReadFull(f, head[:]); err != nil {
-		// Shorter than any magic: let the native sniffer produce its
-		// usual corruption/JSONL error from the bytes that are there.
-		if _, serr := f.Seek(0, io.SeekStart); serr != nil {
-			f.Close()
-			return nil, fmt.Errorf("trace: reading %s: %w", path, serr)
-		}
-		_ = n
-	} else {
+	br := bufio.NewReader(f)
+	if head, err := br.Peek(4); err == nil {
 		for _, rf := range formats {
-			if head == rf.magic {
+			if [4]byte(head) == rf.magic {
 				f.Close()
-				ext, err := rf.open(path)
+				r, err := rf.open(path)
 				if err != nil {
 					return nil, err
 				}
-				return &File{path: path, ext: ext, app: ext.App(), procs: ext.Procs()}, nil
+				return &File{r: r}, nil
 			}
 		}
-		if _, serr := f.Seek(0, io.SeekStart); serr != nil {
-			f.Close()
-			return nil, fmt.Errorf("trace: reading %s: %w", path, serr)
-		}
-	}
-	of, err := openReader(f, path)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	of.f = f
-	return of, nil
-}
-
-// openReader sniffs and wraps an already-open stream; it is split from
-// Open so the format decision is testable without a file system.
-func openReader(r io.Reader, path string) (*File, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(binaryMagic))
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading %s: %w", path, corruptf("file too short: %v", err))
-	}
-	of := &File{path: path, br: br}
-	if [4]byte(head) == binaryMagic {
-		rd, err := NewReader(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading %s: %w", path, err)
-		}
-		of.bin = rd
-		of.app, of.procs = rd.App(), rd.Procs()
-		return of, nil
 	}
 	jr, err := NewJSONLReader(br)
 	if err != nil {
-		return nil, err
+		f.Close()
+		return nil, fmt.Errorf("trace: reading %s: %w", path, err)
 	}
-	of.jsonl = jr
-	of.app, of.procs = jr.App(), jr.Procs()
-	return of, nil
+	return &File{r: jsonlFile{jr, f}}, nil
 }
 
 // App returns the workload name from the file header.
-func (of *File) App() string { return of.app }
+func (of *File) App() string { return of.r.App() }
 
 // Procs returns the rank count from the file header.
-func (of *File) Procs() int { return of.procs }
+func (of *File) Procs() int { return of.r.Procs() }
 
-// Binary reports whether the file is in the binary (.mpt) format.
-func (of *File) Binary() bool { return of.bin != nil }
-
-// Read returns the next record, or io.EOF after the last one. For binary
-// files the trailer has been verified by then, and — as a trace file is
-// the whole input — trailing bytes after it are rejected as corruption
-// (leftover data means a botched concatenation or a partial overwrite).
-func (of *File) Read() (Record, error) {
-	if of.ext != nil {
-		return of.ext.Read()
-	}
-	if of.bin == nil {
-		return of.jsonl.Read()
-	}
-	rec, err := of.bin.Read()
-	if err == io.EOF {
-		if _, terr := of.br.ReadByte(); terr != io.EOF {
-			return Record{}, fmt.Errorf("trace: reading %s: %w", of.path, corruptf("trailing data after the trace trailer"))
-		}
-		return rec, io.EOF
-	}
-	if err != nil {
-		return Record{}, fmt.Errorf("trace: reading %s: %w", of.path, err)
-	}
-	return rec, nil
-}
+// Read returns the next record, or io.EOF after the last one.
+func (of *File) Read() (Record, error) { return of.r.Read() }
 
 // Close closes the underlying file.
-func (of *File) Close() error {
-	if of.ext != nil {
-		return of.ext.Close()
-	}
-	if of.f == nil {
-		return nil
-	}
-	return of.f.Close()
-}
+func (of *File) Close() error { return of.r.Close() }
 
-// Load reads a trace from the named file in either supported format,
+// Load reads a trace from the named file in any supported format,
 // materializing it in memory. Streaming consumers use Open instead.
 func Load(path string) (*Trace, error) {
 	of, err := Open(path)

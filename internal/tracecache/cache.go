@@ -14,11 +14,12 @@
 // of the parallel experiment runner ask for the same spec at once, exactly
 // one simulates and the rest wait for its result.
 //
-// A cache built with NewDisk adds a second, persistent tier: simulated
-// traces are written as content-addressed files in the binary trace format
-// (internal/trace codec.go) under the cache directory, and later runs —
-// including runs in fresh processes — promote entries from disk instead of
-// re-simulating. See disk.go for the layout and the corruption story.
+// A cache built with NewDiskStore adds a second, persistent tier: simulated
+// traces are written as content-addressed files in the columnar trace
+// store format (.mpts, internal/tracestore) under the cache directory, and
+// later runs — including runs in fresh processes — promote entries from
+// disk instead of re-simulating. See disk.go for the layout and the
+// corruption story.
 //
 // Cached traces are shared: callers must treat them as read-only (which
 // every consumer in this repository does — trace.Trace's stream index makes
@@ -106,9 +107,9 @@ type Stats struct {
 	DiskErrors int64 // corrupt/unreadable/unwritable disk entries (recovered)
 	Entries    int   // entries currently cached in memory
 
-	// Columnar store tier counters (NewDiskStore caches only). The scan
-	// engine reports what each promotion touched; corrupt store entries
-	// are counted here as well as in DiskErrors before re-simulation.
+	// Columnar store counters (disk-tier caches only). The scan engine
+	// reports what each promotion touched; corrupt store entries are
+	// counted here as well as in DiskErrors before re-simulation.
 	StoreBlocksRead       int64 // column blocks read while promoting store entries
 	StorePartitionsPruned int64 // partitions skipped via the store footer index
 	StoreCorruptBlocks    int64 // corrupt store entries dropped and re-simulated
@@ -152,7 +153,7 @@ type entry struct {
 }
 
 // Cache memoises workload simulations. The zero value is not usable; use
-// New or NewDisk. A single Cache may be used from any number of
+// New or NewDiskStore. A single Cache may be used from any number of
 // goroutines.
 type Cache struct {
 	mu      sync.Mutex
@@ -162,9 +163,6 @@ type Cache struct {
 	// trace files (see disk.go). The memory tier promotes from disk on a
 	// miss and writes through to disk after simulating.
 	dir string
-	// store selects the columnar .mpts trace store as the disk-tier
-	// format instead of the flat .mpt codec (NewDiskStore).
-	store bool
 }
 
 // New returns an empty memory-only cache.
@@ -172,22 +170,15 @@ func New() *Cache {
 	return &Cache{entries: make(map[Key]*entry)}
 }
 
-// NewDisk returns a cache whose memory tier is backed by trace files under
-// dir. The directory is created on first write; an existing directory
-// warms the cache across process restarts. Several caches (in the same or
-// different processes) may safely share one directory.
-func NewDisk(dir string) *Cache {
-	return &Cache{entries: make(map[Key]*entry), dir: dir}
-}
-
-// NewDiskStore is NewDisk with the columnar trace store (.mpts,
-// internal/tracestore) as the disk-tier format: entries are persisted as
-// partitioned column blocks and promoted with a parallel scan, with the
-// store's read accounting surfaced through the Store* Stats counters.
-// The two formats coexist in one directory (different extensions), so
-// switching formats neither invalidates nor corrupts an existing cache.
+// NewDiskStore returns a cache whose memory tier is backed by columnar
+// trace store files (.mpts, internal/tracestore) under dir: entries are
+// persisted as partitioned column blocks and promoted with a parallel
+// scan, with the store's read accounting surfaced through the Store*
+// Stats counters. The directory is created on first write; an existing
+// directory warms the cache across process restarts. Several caches (in
+// the same or different processes) may safely share one directory.
 func NewDiskStore(dir string) *Cache {
-	return &Cache{entries: make(map[Key]*entry), dir: dir, store: true}
+	return &Cache{entries: make(map[Key]*entry), dir: dir}
 }
 
 // Dir returns the disk-tier directory, or "" for a memory-only cache.

@@ -1,6 +1,6 @@
 package tracecache
 
-// The disk tier. A cache constructed with NewDisk persists every simulated
+// The disk tier. A cache constructed with NewDiskStore persists every simulated
 // trace as a content-addressed file under its directory and consults that
 // directory before simulating, so the evaluation grid survives process
 // restarts: a warm cache directory answers a full Table 1 / Figures 3-4 run
@@ -8,7 +8,7 @@ package tracecache
 // + rename into place), which makes concurrent writers from different
 // processes safe — the last rename wins and every intermediate state seen
 // by readers is either absent or complete. Corrupt or truncated files are
-// detected by the binary codec's checksum, counted in Stats.DiskErrors,
+// detected by the store's per-block checksums, counted in Stats.DiskErrors,
 // removed and transparently re-simulated.
 
 import (
@@ -26,17 +26,15 @@ import (
 	"mpipredict/internal/tracestore"
 )
 
-// diskExt is the filename extension of the flat persistent trace format;
-// storeExt is the columnar store tier's (NewDiskStore).
-const (
-	diskExt  = ".mpt"
-	storeExt = ".mpts"
-)
+// storeExt is the filename extension of the disk tier's entries.
+const storeExt = ".mpts"
 
 // canonical renders the key as a stable, versioned string; its hash names
 // the entry's file. Any change to this encoding (or to the meaning of a
 // field) must bump the leading version tag, or stale cache directories
-// would serve traces for the wrong configuration.
+// would serve traces for the wrong configuration. The "mpt1" tag predates
+// the store tier and is kept as is, so existing cache directories stay
+// warm; TestStorePathPinned holds it fixed.
 func (k Key) canonical() string {
 	return fmt.Sprintf("mpt1|app=%s|procs=%d|iters=%d|seed=%d|net=%g,%g,%g,%g,%g,%g,%d,%g|recv=%s",
 		k.App, k.Procs, k.Iterations, k.Seed,
@@ -45,49 +43,25 @@ func (k Key) canonical() string {
 		k.Receivers)
 }
 
-// pathFor names the entry file for k under dir with the given extension.
-func pathFor(dir string, k Key, ext string) string {
+// StorePath returns the file the entry for k lives in under dir: the
+// hex SHA-256 of the key's canonical form plus the store extension.
+func StorePath(dir string, k Key) string {
 	sum := sha256.Sum256([]byte(k.canonical()))
-	return filepath.Join(dir, hex.EncodeToString(sum[:])+ext)
-}
-
-// Path returns the file the entry for k lives in under dir in the flat
-// .mpt tier.
-func Path(dir string, k Key) string { return pathFor(dir, k, diskExt) }
-
-// StorePath returns the file the entry for k lives in under dir in the
-// columnar .mpts store tier.
-func StorePath(dir string, k Key) string { return pathFor(dir, k, storeExt) }
-
-// entryPath is the file this cache's tier keeps the entry for key in.
-func (c *Cache) entryPath(key Key) string {
-	if c.store {
-		return StorePath(c.dir, key)
-	}
-	return Path(c.dir, key)
+	return filepath.Join(dir, hex.EncodeToString(sum[:])+storeExt)
 }
 
 // loadDisk reads the entry for key from the disk tier. A missing file is
 // reported as fs.ErrNotExist; any other error means the file exists but
 // cannot be trusted.
 func (c *Cache) loadDisk(key Key) (*trace.Trace, error) {
-	var tr *trace.Trace
-	var err error
-	if c.store {
-		var st tracestore.ScanStats
-		tr, st, err = tracestore.LoadFile(c.entryPath(key))
-		if err == nil {
-			c.mu.Lock()
-			c.stats.StoreBlocksRead += int64(st.BlocksRead)
-			c.stats.StorePartitionsPruned += int64(st.Pruned)
-			c.mu.Unlock()
-		}
-	} else {
-		tr, err = trace.Load(c.entryPath(key))
-	}
+	tr, st, err := tracestore.LoadFile(StorePath(c.dir, key))
 	if err != nil {
 		return nil, err
 	}
+	c.mu.Lock()
+	c.stats.StoreBlocksRead += int64(st.BlocksRead)
+	c.stats.StorePartitionsPruned += int64(st.Pruned)
+	c.mu.Unlock()
 	// The filename is a hash, so a collision or a file copied between
 	// incompatible directories would silently serve a wrong trace; the
 	// header metadata is enough to reject the realistic mistakes.
@@ -132,31 +106,21 @@ func (c *Cache) storeDisk(key Key, tr *trace.Trace) error {
 		return err
 	}
 	sweepStaleTemps(c.dir)
-	ext := diskExt
-	if c.store {
-		ext = storeExt
-	}
-	f, err := os.CreateTemp(c.dir, ".tmp-*"+ext)
+	f, err := os.CreateTemp(c.dir, ".tmp-*"+storeExt)
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
-	var werr error
-	if c.store {
-		werr = tracestore.WriteTrace(f, tr)
-	} else {
-		werr = trace.WriteBinary(f, tr)
-	}
-	if werr != nil {
+	if err := tracestore.WriteTrace(f, tr); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return werr
+		return err
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(tmp, c.entryPath(key)); err != nil {
+	if err := os.Rename(tmp, StorePath(c.dir, key)); err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -178,14 +142,12 @@ func (c *Cache) fill(key Key, run func() (*trace.Trace, error)) (*trace.Trace, e
 			// cold entry: fall through to the simulator
 		default:
 			// Corruption and transient read faults are indistinguishable
-			// here (the codecs' ErrCorrupt covers both); dropping the
+			// here (the store's ErrCorrupt covers both); dropping the
 			// entry and re-simulating is correct for the former and merely
 			// wasteful for the rare latter.
 			c.bump(&c.stats.DiskErrors)
-			if c.store {
-				c.bump(&c.stats.StoreCorruptBlocks)
-			}
-			os.Remove(c.entryPath(key)) // drop the corrupt file; best effort
+			c.bump(&c.stats.StoreCorruptBlocks)
+			os.Remove(StorePath(c.dir, key)) // drop the corrupt file; best effort
 		}
 	}
 	c.bump(&c.stats.Misses)

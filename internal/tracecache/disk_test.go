@@ -1,6 +1,7 @@
 package tracecache
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"mpipredict/internal/simnet"
 	"mpipredict/internal/trace"
 	"mpipredict/internal/tracestore"
 	"mpipredict/internal/workloads"
@@ -20,7 +22,7 @@ func freshDisk(t *testing.T, dir string) *Cache {
 	if dir == "" {
 		dir = t.TempDir()
 	}
-	return NewDisk(dir)
+	return NewDiskStore(dir)
 }
 
 func entryPath(t *testing.T, dir string, rc workloads.RunConfig) string {
@@ -29,7 +31,7 @@ func entryPath(t *testing.T, dir string, rc workloads.RunConfig) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Path(dir, key)
+	return StorePath(dir, key)
 }
 
 func TestDiskColdMissSimulatesAndPersists(t *testing.T) {
@@ -123,14 +125,101 @@ func TestDiskCorruptEntryIsResimulated(t *testing.T) {
 				t.Error("re-simulated trace differs from the original")
 			}
 			s := c.Stats()
-			if s.DiskErrors != 1 || s.Misses != 1 || s.DiskWrites != 1 {
-				t.Errorf("stats = %+v, want 1 disk error, 1 re-simulation, 1 re-write", s)
+			if s.DiskErrors != 1 || s.StoreCorruptBlocks != 1 || s.Misses != 1 || s.DiskWrites != 1 {
+				t.Errorf("stats = %+v, want 1 disk error, 1 corrupt store entry, 1 re-simulation, 1 re-write", s)
 			}
 			// The rewritten entry must be healthy again.
-			if _, err := trace.Load(path); err != nil {
+			if _, _, err := tracestore.LoadFile(path); err != nil {
 				t.Errorf("entry not repaired on disk: %v", err)
 			}
 		})
+	}
+}
+
+func TestDiskStoreTierRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	c := freshDisk(t, dir)
+	want, err := c.Get(testRC(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); s.Misses != 1 || s.DiskWrites != 1 {
+		t.Errorf("cold stats = %+v, want 1 miss, 1 disk write", s)
+	}
+	path := entryPath(t, dir, testRC(1))
+	if !strings.HasSuffix(path, ".mpts") {
+		t.Fatalf("store entry path %q is not a .mpts file", path)
+	}
+	r, err := tracestore.Open(path)
+	if err != nil {
+		t.Fatalf("persisted store entry unreadable: %v", err)
+	}
+	events := r.Events()
+	r.Close()
+	if events != int64(len(want.Records)) {
+		t.Errorf("store entry indexes %d events, trace holds %d", events, len(want.Records))
+	}
+
+	// A restart over the same directory serves from the store tier and
+	// surfaces the store read statistics.
+	restarted := freshDisk(t, dir)
+	got, err := restarted.Get(testRC(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want.Records, got.Records) {
+		t.Error("store-tier trace differs from the simulated one")
+	}
+	s := restarted.Stats()
+	if s.Misses != 0 || s.DiskHits != 1 {
+		t.Errorf("warm stats = %+v, want 0 simulations and 1 disk hit", s)
+	}
+	if s.StoreBlocksRead == 0 {
+		t.Errorf("warm stats = %+v, want StoreBlocksRead > 0 after a store read", s)
+	}
+	if !strings.Contains(s.String(), "store-blocks=") {
+		t.Errorf("Stats.String() %q is missing the store counters", s.String())
+	}
+}
+
+func TestDiskStoreCorruptEntryIsResimulated(t *testing.T) {
+	dir := t.TempDir()
+	seeded := freshDisk(t, dir)
+	want, err := seeded.Get(testRC(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := entryPath(t, dir, testRC(3))
+	original, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := append([]byte(nil), original...)
+	raw[len(raw)/3] ^= 0xff
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c := freshDisk(t, dir)
+	got, err := c.Get(testRC(3))
+	if err != nil {
+		t.Fatalf("corrupt store entry must be recovered, got error: %v", err)
+	}
+	if !reflect.DeepEqual(want.Records, got.Records) {
+		t.Error("re-simulated trace differs from the original")
+	}
+	s := c.Stats()
+	if s.DiskErrors != 1 || s.StoreCorruptBlocks != 1 || s.Misses != 1 || s.DiskWrites != 1 {
+		t.Errorf("stats = %+v, want 1 disk error, 1 corrupt store block, 1 re-simulation, 1 re-write", s)
+	}
+	// The rewrite is deterministic: the repaired entry is byte-identical
+	// to the one first written.
+	repaired, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(original, repaired) {
+		t.Errorf("repaired entry (%d bytes) differs from the original (%d bytes)", len(repaired), len(original))
 	}
 }
 
@@ -144,7 +233,7 @@ func TestDiskEntryForWrongConfigRejected(t *testing.T) {
 	}
 	wrong := trace.New("lu", 99)
 	wrong.Append(trace.Record{Op: "send"})
-	if err := trace.SaveBinaryFile(path, wrong); err != nil {
+	if err := tracestore.SaveTrace(path, wrong); err != nil {
 		t.Fatal(err)
 	}
 	c := freshDisk(t, dir)
@@ -261,8 +350,8 @@ func TestDiskUnwritableDirDegradesToMemory(t *testing.T) {
 
 func TestDiskSweepsStaleTempFiles(t *testing.T) {
 	dir := t.TempDir()
-	stale := filepath.Join(dir, ".tmp-dead-writer.mpt")
-	fresh := filepath.Join(dir, ".tmp-live-writer.mpt")
+	stale := filepath.Join(dir, ".tmp-dead-writer.mpts")
+	fresh := filepath.Join(dir, ".tmp-live-writer.mpts")
 	for _, p := range []string{stale, fresh} {
 		if err := os.WriteFile(p, []byte("partial"), 0o644); err != nil {
 			t.Fatal(err)
@@ -299,6 +388,32 @@ func TestMemoryOnlyCacheTouchesNoDisk(t *testing.T) {
 	}
 }
 
+// TestStorePathPinned pins the disk-tier file name of one fully spelled
+// out configuration, so any change to the key encoding (which would turn
+// every existing cache directory cold) is a deliberate act.
+func TestStorePathPinned(t *testing.T) {
+	key, err := KeyFor(workloads.RunConfig{
+		Spec: workloads.Spec{Name: "bt", Procs: 4, Iterations: 2},
+		Net: simnet.Config{
+			LatencyUS: 30, BandwidthBytesPerUS: 100, SendOverheadUS: 15, RecvOverheadUS: 10,
+			JitterFrac: 0.05, ImbalanceFrac: 0.03, EagerLimitBytes: 16384, RendezvousExtraUS: 10,
+		},
+		Seed:           1,
+		TraceReceivers: []int{3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const canonical = "mpt1|app=bt|procs=4|iters=2|seed=1|net=30,100,15,10,0.05,0.03,16384,10|recv=3"
+	if got := key.canonical(); got != canonical {
+		t.Errorf("canonical key = %q, want %q", got, canonical)
+	}
+	const want = "4514365e81f7e86ae2c6b0000adcf5516add86933400bebc7767b8b041e786b9.mpts"
+	if got := StorePath("cache", key); got != filepath.Join("cache", want) {
+		t.Errorf("StorePath = %q, want %q", got, filepath.Join("cache", want))
+	}
+}
+
 func TestKeyCanonicalDistinguishesConfigs(t *testing.T) {
 	// Different configurations must land in different files.
 	base := testRC(1)
@@ -320,138 +435,8 @@ func TestKeyCanonicalDistinguishesConfigs(t *testing.T) {
 	}
 }
 
-// freshDiskStore is freshDisk for the columnar store tier.
-func freshDiskStore(t *testing.T, dir string) *Cache {
-	t.Helper()
-	if dir == "" {
-		dir = t.TempDir()
-	}
-	return NewDiskStore(dir)
-}
-
-func TestDiskStoreTierRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	c := freshDiskStore(t, dir)
-	want, err := c.Get(testRC(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := c.Stats(); s.Misses != 1 || s.DiskWrites != 1 {
-		t.Errorf("cold stats = %+v, want 1 miss, 1 disk write", s)
-	}
-	key, err := KeyFor(testRC(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := StorePath(dir, key)
-	if !strings.HasSuffix(path, ".mpts") {
-		t.Fatalf("store entry path %q is not a .mpts file", path)
-	}
-	r, err := tracestore.Open(path)
-	if err != nil {
-		t.Fatalf("persisted store entry unreadable: %v", err)
-	}
-	events := r.Events()
-	r.Close()
-	if events != int64(len(want.Records)) {
-		t.Errorf("store entry indexes %d events, trace holds %d", events, len(want.Records))
-	}
-
-	// A restart over the same directory serves from the store tier and
-	// surfaces the store read statistics.
-	restarted := freshDiskStore(t, dir)
-	got, err := restarted.Get(testRC(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want.Records, got.Records) {
-		t.Error("store-tier trace differs from the simulated one")
-	}
-	s := restarted.Stats()
-	if s.Misses != 0 || s.DiskHits != 1 {
-		t.Errorf("warm stats = %+v, want 0 simulations and 1 disk hit", s)
-	}
-	if s.StoreBlocksRead == 0 {
-		t.Errorf("warm stats = %+v, want StoreBlocksRead > 0 after a store read", s)
-	}
-	if !strings.Contains(s.String(), "store-blocks=") {
-		t.Errorf("Stats.String() %q is missing the store counters", s.String())
-	}
-}
-
-func TestDiskStoreCorruptEntryIsResimulated(t *testing.T) {
-	dir := t.TempDir()
-	seeded := freshDiskStore(t, dir)
-	want, err := seeded.Get(testRC(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, err := KeyFor(testRC(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := StorePath(dir, key)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/3] ^= 0xff
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	c := freshDiskStore(t, dir)
-	got, err := c.Get(testRC(3))
-	if err != nil {
-		t.Fatalf("corrupt store entry must be recovered, got error: %v", err)
-	}
-	if !reflect.DeepEqual(want.Records, got.Records) {
-		t.Error("re-simulated trace differs from the original")
-	}
-	s := c.Stats()
-	if s.DiskErrors != 1 || s.StoreCorruptBlocks != 1 || s.Misses != 1 || s.DiskWrites != 1 {
-		t.Errorf("stats = %+v, want 1 disk error, 1 corrupt store block, 1 re-simulation, 1 re-write", s)
-	}
-	// The rewritten entry must be healthy again.
-	if _, _, err := tracestore.LoadFile(path); err != nil {
-		t.Errorf("entry not repaired on disk: %v", err)
-	}
-}
-
-func TestDiskFlatAndStoreTiersCoexist(t *testing.T) {
-	// One directory can back both tier formats: the extensions differ, so
-	// the entries never collide and each tier heals independently.
-	dir := t.TempDir()
-	flat := freshDisk(t, dir)
-	want, err := flat.Get(testRC(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := freshDiskStore(t, dir)
-	got, err := store.Get(testRC(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want.Records, got.Records) {
-		t.Error("the two tiers disagree about the same configuration")
-	}
-	// The store cache missed (no .mpts yet) and wrote its own entry.
-	if s := store.Stats(); s.Misses != 1 || s.DiskWrites != 1 || s.DiskHits != 0 {
-		t.Errorf("store stats = %+v, want its own miss and write", s)
-	}
-	key, err := KeyFor(testRC(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []string{Path(dir, key), StorePath(dir, key)} {
-		if _, err := os.Stat(p); err != nil {
-			t.Errorf("tier entry %s missing: %v", p, err)
-		}
-	}
-}
-
 func TestStatsStringOmitsZeroStoreCounters(t *testing.T) {
-	// The flat tier's stats line must not grow store noise.
+	// A memory-only cache's stats line must not grow store noise.
 	var s Stats
 	s.Hits = 1
 	if str := s.String(); strings.Contains(str, "store-") {

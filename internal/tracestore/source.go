@@ -11,7 +11,7 @@ import (
 // init hooks the store format into trace.Open's sniffing, so every
 // consumer of "a trace file" — stream.FileSource, the evaluation
 // replays, the serve ingester, all CLIs — reads .mpts stores through the
-// exact same door as .mpt and JSONL traces, with no caller changes.
+// exact same door as JSONL traces, with no caller changes.
 func init() {
 	trace.RegisterFormat(storeMagic, func(path string) (trace.FormatReader, error) {
 		r, err := Open(path)

@@ -1,12 +1,13 @@
 // Package tracestore implements the partitioned columnar on-disk trace
-// store (".mpts") and its parallel scan engine. The flat binary trace
-// codec (internal/trace, ".mpt") materializes a whole trace to answer any
-// question; the store splits the event stream into fixed-size partitions
-// (row groups) and stores every record field as its own compressed,
-// checksummed block, so analytical scans read only the columns they
-// project and only the partitions the footer index says overlap the query
-// — million-event analytics in bounded memory, fanned over a bounded
-// worker pool (scan.go).
+// store (".mpts"), the repository's one binary trace format, and its
+// parallel scan engine. Instead of a row-by-row record stream, which must
+// be decoded in full to answer any question, the store splits the event
+// stream into fixed-size partitions (row groups) and stores every record
+// field as its own compressed, checksummed block, so analytical scans
+// read only the columns they project and only the partitions the footer
+// index says overlap the query — million-event analytics in bounded
+// memory, fanned over a bounded worker pool (scan.go). Sequential replays
+// read the same file record by record through trace.Open (source.go).
 //
 // Layout (all multi-byte integers are varints in the encoding of
 // encoding/binary; "uvarint" and "varint" refer to binary.PutUvarint and
@@ -54,10 +55,10 @@
 // block length prefixes cross-checked against the footer), so any
 // truncation or bit flip is rejected with an error wrapping ErrCorrupt.
 //
-// Records do not carry Seq numbers (exactly like the .mpt codec); they
-// are reassigned on decode from stream order. Compatibility policy is the
-// trace codec's: the magic pins the file family, the version is bumped on
-// any incompatible change, and readers reject versions they do not know.
+// Records do not carry Seq numbers; they are reassigned on decode from
+// stream order. Compatibility policy (DESIGN.md §3): the magic pins the
+// file family, the version is bumped on any incompatible change, and
+// readers reject versions they do not know.
 package tracestore
 
 import (
@@ -104,7 +105,7 @@ const (
 
 // ErrCorrupt is wrapped by every decoding error: malformed, truncated or
 // bit-flipped input, and read failures from the underlying reader (the
-// two are indistinguishable mid-decode, exactly as in the .mpt codec).
+// two are indistinguishable mid-decode).
 var ErrCorrupt = errors.New("corrupt trace store")
 
 var crcTable = crc32.MakeTable(crc32.IEEE)
@@ -218,7 +219,7 @@ func appendVarint(b []byte, v int64) []byte {
 // partition every PartitionEvents records; Close flushes the last partial
 // partition, the footer and the tail. It implements the record-writer
 // contract of stream.SinkTo, so the block pipeline exports stores the
-// same way it exports .mpt files.
+// same way it exports JSONL.
 type Writer struct {
 	w          io.Writer
 	off        uint64
@@ -867,8 +868,8 @@ func WriteTrace(w io.Writer, tr *trace.Trace) error {
 }
 
 // SaveTrace writes the trace to the named file in the store format,
-// atomically (temp file in the same directory + rename), matching the
-// durability contract of trace.SaveBinaryFile.
+// atomically (temp file in the same directory + rename), so a failed
+// save never clobbers an existing file or leaves a truncated one behind.
 func SaveTrace(path string, tr *trace.Trace) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, ".tmp-"+filepath.Base(path)+"-*")

@@ -245,9 +245,6 @@ func TestSaveTraceAtomicAndOpen(t *testing.T) {
 	if of.App() != good.App || of.Procs() != good.Procs {
 		t.Errorf("trace.Open header = (%q, %d), want (%q, %d)", of.App(), of.Procs(), good.App, good.Procs)
 	}
-	if of.Binary() {
-		t.Error("store file reported as binary .mpt")
-	}
 	count := 0
 	for {
 		_, err := of.Read()
@@ -366,14 +363,14 @@ func TestStoreRejectsEveryBitFlip(t *testing.T) {
 
 func TestOpenRejectsWrongFormats(t *testing.T) {
 	dir := t.TempDir()
-	mpt := filepath.Join(dir, "t.mpt")
+	jsonl := filepath.Join(dir, "t.jsonl")
 	tr := trace.New("bt", 4)
 	tr.Append(trace.Record{Op: "send"})
-	if err := trace.SaveBinaryFile(mpt, tr); err != nil {
+	if err := trace.SaveFile(jsonl, tr); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(mpt); err == nil || !errors.Is(err, ErrCorrupt) {
-		t.Errorf("Open(.mpt) = %v, want an ErrCorrupt-class rejection", err)
+	if _, err := Open(jsonl); err == nil || !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Open(JSONL) = %v, want an ErrCorrupt-class rejection", err)
 	}
 	if _, err := Open(filepath.Join(dir, "missing.mpts")); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("Open(missing) = %v, want ErrNotExist", err)

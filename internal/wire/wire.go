@@ -16,7 +16,7 @@
 //     they cannot speak to. Everything after the handshake is frames.
 //   - A frame is: uvarint payload length, payload bytes, then a 4-byte
 //     little-endian CRC-32 (IEEE) of the payload — the same integrity
-//     discipline as the .mpt/.mps codecs (DESIGN.md §3), applied per
+//     discipline as the .mpts/.mps codecs (DESIGN.md §3), applied per
 //     frame so a long-lived stream detects corruption mid-connection.
 //   - payload[0] is the frame type; the rest is type-specific, built
 //     from the §3 primitives (uvarint, zig-zag varint, length-prefixed

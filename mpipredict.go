@@ -368,7 +368,7 @@ func EvaluateSource(open EventSourceOpener, receiver int, opts EvalOptions) (Eva
 	return evalx.EvaluateSource(open, receiver, opts)
 }
 
-// OpenTraceSource opens a trace file (binary .mpt or JSONL) as a block
+// OpenTraceSource opens a trace file (a .mpts store or JSONL) as a block
 // source; TraceSource streams an in-memory trace; PerturbSource applies
 // a seeded, deterministic robustness perturbation; MergeSources
 // interleaves several sources by event time.
@@ -491,8 +491,8 @@ func ReplayTrace(ctx context.Context, baseURL string, tr *Trace, opts ReplayOpti
 // SaveTrace and LoadTrace persist traces as JSON lines.
 func SaveTrace(path string, tr *Trace) error { return trace.SaveFile(path, tr) }
 
-// LoadTrace reads a trace in any supported format — JSONL, binary .mpt
-// or columnar .mpts — via the trace.Open sniffing point.
+// LoadTrace reads a trace in any supported format — JSONL or columnar
+// .mpts — via the trace.Open sniffing point.
 func LoadTrace(path string) (*Trace, error) { return trace.Load(path) }
 
 // SaveTraceStore persists a trace as a partitioned columnar store

@@ -1,13 +1,14 @@
 package mpipredict
 
-// The .mpts parity suite: the columnar trace store is a second on-disk
-// representation of the exact same event stream, and this file pins the
-// property everything downstream relies on — evaluating a store is
-// hit-for-hit indistinguishable from evaluating the flat .mpt it mirrors.
-// Every corpus workload × every registered strategy runs EvaluateSource
-// over both formats and requires deep equality of the full result
-// (hits, misses, per-horizon accuracy, reordering diagnostics — all of
-// it), plus Table 1 characterisation equality.
+// The .mpts parity suite: a committed store is an on-disk representation
+// of the exact event stream the simulator produced, and this file pins
+// the property everything downstream relies on — evaluating the store is
+// hit-for-hit indistinguishable from evaluating the simulation it was
+// exported from. Every corpus workload × every registered strategy runs
+// EvaluateSource over the .mpts file and over the simulator's in-memory
+// trace and requires deep equality of the full result (hits, misses,
+// per-horizon accuracy, reordering diagnostics — all of it), plus Table 1
+// characterisation equality.
 
 import (
 	"reflect"
@@ -20,7 +21,7 @@ import (
 )
 
 // corpusReplayReceiver picks the receiver a CLI replay of the file would
-// evaluate, identically for both formats.
+// evaluate.
 func corpusReplayReceiver(t *testing.T, path string) int {
 	t.Helper()
 	src, err := stream.OpenFile(path)
@@ -43,37 +44,38 @@ func corpusReplayReceiver(t *testing.T, path string) int {
 func TestStoreEvaluateSourceParityFullCorpus(t *testing.T) {
 	for _, c := range corpusSpecs() {
 		t.Run(c.File, func(t *testing.T) {
-			mpt := corpusPath(c.File)
-			mpts := corpusPath(storeCorpusFile(c.File))
-			recv := corpusReplayReceiver(t, mpt)
-			if storeRecv := corpusReplayReceiver(t, mpts); storeRecv != recv {
-				t.Fatalf("replay receiver differs by format: %d vs %d", recv, storeRecv)
+			path := corpusPath(c.File)
+			sim := simulateCorpusTrace(t, c)
+			simulated := func() (stream.Source, error) { return stream.TraceSource(sim), nil }
+			recv := corpusReplayReceiver(t, path)
+			if simRecv, err := workloads.PickReplayReceiver(sim.App, sim.Procs, sim.Receivers()); err != nil || simRecv != recv {
+				t.Fatalf("replay receiver: store %d, simulation %d (%v)", recv, simRecv, err)
 			}
 
-			row, err := evalx.Table1RowFromSource(stream.FileOpener(mpt), recv)
+			row, err := evalx.Table1RowFromSource(simulated, recv)
 			if err != nil {
 				t.Fatal(err)
 			}
-			storeRow, err := evalx.Table1RowFromSource(stream.FileOpener(mpts), recv)
+			storeRow, err := evalx.Table1RowFromSource(stream.FileOpener(path), recv)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(row, storeRow) {
-				t.Errorf("Table1 characterisation differs between formats:\n.mpt  %+v\n.mpts %+v", row, storeRow)
+				t.Errorf("Table1 characterisation differs from the simulation:\nsimulated %+v\n.mpts     %+v", row, storeRow)
 			}
 
 			for _, name := range strategy.Names() {
 				opts := evalx.Options{Strategy: name}
-				res, err := evalx.EvaluateSource(stream.FileOpener(mpt), recv, opts)
+				res, err := evalx.EvaluateSource(simulated, recv, opts)
 				if err != nil {
-					t.Fatalf("%s over .mpt: %v", name, err)
+					t.Fatalf("%s over the simulation: %v", name, err)
 				}
-				storeRes, err := evalx.EvaluateSource(stream.FileOpener(mpts), recv, opts)
+				storeRes, err := evalx.EvaluateSource(stream.FileOpener(path), recv, opts)
 				if err != nil {
 					t.Fatalf("%s over .mpts: %v", name, err)
 				}
 				if !reflect.DeepEqual(res, storeRes) {
-					t.Errorf("strategy %s: EvaluateSource over .mpts differs from .mpt", name)
+					t.Errorf("strategy %s: EvaluateSource over .mpts differs from the simulation", name)
 				}
 			}
 		})

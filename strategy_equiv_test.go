@@ -3,7 +3,7 @@ package mpipredict
 // The dpd-strategy equivalence suite: the tentpole refactor moved the
 // paper's predictor behind the Strategy interface with a zero-behavior-
 // change contract, and this file pins that contract against the full
-// golden corpus (testdata/corpus/*.mpt). Every recorded stream of every
+// golden corpus (testdata/corpus/*.mpts). Every recorded stream of every
 // workload — sender and size, logical and physical — is driven through a
 // hand-held core.StreamPredictor and through strategy.New("dpd") side by
 // side, comparing every +1..+5 prediction before every observation. Any
