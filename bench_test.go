@@ -2,7 +2,8 @@ package mpipredict
 
 // This file is the benchmark harness that regenerates every table and
 // figure of the paper's evaluation, plus the analyses of Section 2 and the
-// related-work comparison of Section 6. Each benchmark runs the full
+// related-work comparison of Section 6 (in baseline_test.go, beside its
+// baselines). Each benchmark runs the full
 // class-A-scale experiment once per iteration and attaches the headline
 // quantity of the corresponding table/figure as a custom benchmark metric,
 // so `go test -bench . -benchmem` both times the experiments and reports
@@ -14,7 +15,6 @@ import (
 
 	"mpipredict/internal/benchdefs"
 	"mpipredict/internal/evalx"
-	"mpipredict/internal/predictor"
 	"mpipredict/internal/strategy"
 	"mpipredict/internal/trace"
 	"mpipredict/internal/workloads"
@@ -204,33 +204,6 @@ func BenchmarkRendezvousElimination(b *testing.B) {
 	}
 }
 
-// BenchmarkBaselineComparison regenerates the Section 6 comparison: the
-// DPD predicts several future values, whereas the single-next-value
-// heuristics of the related work cannot answer +5 queries at all and the
-// Markov baselines need chaining. The metric is the +5 sender accuracy of
-// each predictor on the BT.9 logical stream.
-func BenchmarkBaselineComparison(b *testing.B) {
-	spec := workloads.Spec{Name: "bt", Procs: 9}
-	recv, _ := workloads.TypicalReceiver(spec.Name, spec.Procs)
-	for i := 0; i < b.N; i++ {
-		tr, err := RunWorkloadCached(spec, DefaultNetworkConfig(), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		stream := tr.SenderStream(recv, trace.Logical)
-		for _, name := range predictor.Names() {
-			acc := evalx.EvaluateStream(stream, func() predictor.Predictor {
-				p, err := predictor.New(name)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return p
-			}, 5)
-			b.ReportMetric(100*acc.Accuracy(5), name+"-plus5-%")
-		}
-	}
-}
-
 // BenchmarkAblationLockPolicy compares the full DPD locking policy against
 // ablated variants (no hold-down, no miss-rate relearn, strict-only
 // locking) on a physically perturbed BT.9 stream, documenting why the
@@ -253,7 +226,7 @@ func BenchmarkAblationLockPolicy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for name, cfg := range variants {
-			acc := evalx.EvaluateStream(stream, func() predictor.Predictor { return predictor.NewDPD(cfg) }, 5)
+			acc := evalx.EvaluateStream(stream, func() strategy.Strategy { return strategy.NewDPD(cfg) }, 5)
 			b.ReportMetric(100*acc.Accuracy(1), name+"-%")
 		}
 	}

@@ -37,7 +37,6 @@ import (
 	"mpipredict/internal/buildinfo"
 	"mpipredict/internal/cliutil"
 	"mpipredict/internal/core"
-	"mpipredict/internal/predictor"
 	"mpipredict/internal/report"
 	"mpipredict/internal/scalability"
 	"mpipredict/internal/simnet"
@@ -137,7 +136,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 // forecaster builds the message-level forecaster for the named strategy,
 // or nil (letting the mechanism configs default to the DPD) when the flag
 // was not set.
-func forecaster(name string) (*predictor.MessagePredictor, error) {
+func forecaster(name string) (*scalability.MessagePredictor, error) {
 	if name == "" {
 		return nil, nil
 	}
@@ -149,7 +148,7 @@ func forecaster(name string) (*predictor.MessagePredictor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return predictor.NewMessagePredictor(predictor.FromStrategy(sender), predictor.FromStrategy(size)), nil
+	return scalability.NewMessagePredictor(sender, size), nil
 }
 
 // replaySource produces the trace and receiver to replay: loaded from the

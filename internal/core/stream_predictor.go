@@ -292,7 +292,7 @@ func (p *StreamPredictor) PredictSeries(count int) []Prediction {
 // PredictSeriesInto appends the next count predictions to dst and returns
 // it. Hot-path callers pass a reused buffer — typically dst[:0] of the
 // previous call — so steady-state multi-step queries perform no
-// allocations (see predictor.MessagePredictor.ForecastInto for the
+// allocations (see scalability.MessagePredictor.ForecastInto for the
 // equivalent message-level query the replay loops use).
 func (p *StreamPredictor) PredictSeriesInto(dst []Prediction, count int) []Prediction {
 	if p.state != Locked {

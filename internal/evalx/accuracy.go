@@ -16,19 +16,20 @@ import (
 	"fmt"
 
 	"mpipredict/internal/core"
-	"mpipredict/internal/predictor"
+	"mpipredict/internal/strategy"
 )
 
 // DefaultHorizons is the number of future values the paper predicts.
 const DefaultHorizons = 5
 
-// PredictorFactory builds a fresh predictor for one stream evaluation.
-type PredictorFactory func() predictor.Predictor
+// PredictorFactory builds a fresh prediction strategy for one stream
+// evaluation.
+type PredictorFactory func() strategy.Strategy
 
 // DefaultPredictor returns the paper's predictor: the DPD with the default
 // configuration.
-func DefaultPredictor() predictor.Predictor {
-	return predictor.NewDPD(core.DefaultConfig())
+func DefaultPredictor() strategy.Strategy {
+	return strategy.NewDPD(core.DefaultConfig())
 }
 
 // StreamAccuracy is the result of evaluating one stream.

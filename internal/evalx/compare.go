@@ -59,9 +59,6 @@ func (r *Runner) CompareStrategies(names []string, specs []workloads.Spec, opts 
 		specs = ComparisonSpecs()
 	}
 	opts = opts.withDefaults()
-	if opts.Predictor != nil {
-		return StrategyComparison{}, fmt.Errorf("evalx: CompareStrategies selects predictors by name; Options.Predictor must be nil")
-	}
 	cmp := StrategyComparison{Strategies: names, Horizons: opts.Horizons}
 	cmp.Rows = make([]StrategyComparisonRow, len(specs))
 	for i, spec := range specs {

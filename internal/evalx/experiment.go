@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mpipredict/internal/core"
-	"mpipredict/internal/predictor"
 	"mpipredict/internal/simnet"
 	"mpipredict/internal/strategy"
 	"mpipredict/internal/stream"
@@ -34,13 +33,10 @@ type Options struct {
 	Seed int64
 	// Horizons is the number of future values to predict (default 5).
 	Horizons int
-	// Predictor builds the predictor to evaluate (default: the DPD).
-	Predictor PredictorFactory
 	// Strategy selects the predictor by registered strategy name
-	// (internal/strategy: "dpd", "lastvalue", "markov1", ...). It is the
-	// declarative sibling of Predictor — the CLIs thread their -predictor
-	// flags through it — and is ignored when Predictor is set. Empty means
-	// the paper's DPD; unknown names fail the experiment.
+	// (internal/strategy: "dpd", "lastvalue", "markov1", "meta"); the
+	// CLIs thread their -predictor flags through it. Empty means the
+	// paper's DPD; unknown names fail the experiment.
 	Strategy string
 	// Iterations overrides the workload's outer iteration count (0 keeps
 	// the class-A default). The figure experiments keep the default; the
@@ -58,8 +54,8 @@ type Options struct {
 	NoCache bool
 	// Cache, when non-nil, supplies simulated traces instead of the
 	// process-wide tracecache.Shared. The CLIs pass a disk-backed cache
-	// (tracecache.NewDisk) here so the evaluation grid survives process
-	// restarts. Ignored when NoCache is set.
+	// (tracecache.NewDiskStore) here so the evaluation grid survives
+	// process restarts. Ignored when NoCache is set.
 	Cache *tracecache.Cache
 }
 
@@ -73,31 +69,26 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// factory resolves the predictor factory the options select — an explicit
-// Predictor wins, then a named Strategy (built fresh per evaluated stream
-// through the strategy registry), then the paper's DPD — along with the
-// predictor name for Result.Strategy. Only the explicit-Predictor branch
-// probes an instance for its name; the named branches know it statically.
+// factory validates Options.Strategy (empty selects strategy.Default) and
+// returns a factory building a fresh strategy of that name per evaluated
+// stream, along with the name for Result.Strategy.
 func (o Options) factory() (PredictorFactory, string, error) {
-	if o.Predictor != nil {
-		return o.Predictor, o.Predictor().Name(), nil
+	name := o.Strategy
+	if name == "" {
+		name = strategy.Default
 	}
-	if o.Strategy != "" {
-		if !strategy.Known(o.Strategy) {
-			return nil, "", fmt.Errorf("evalx: unknown strategy %q (known: %v)", o.Strategy, strategy.Names())
+	if !strategy.Known(name) {
+		return nil, "", fmt.Errorf("evalx: unknown strategy %q (known: %v)", name, strategy.Names())
+	}
+	return func() strategy.Strategy {
+		s, err := strategy.New(name, core.DefaultConfig())
+		if err != nil {
+			// Known was checked above; a failure here is a programming
+			// error in the registry.
+			panic(err)
 		}
-		name := o.Strategy
-		return func() predictor.Predictor {
-			s, err := strategy.New(name, core.DefaultConfig())
-			if err != nil {
-				// Known was checked above; a failure here is a programming
-				// error in the registry.
-				panic(err)
-			}
-			return predictor.FromStrategy(s)
-		}, name, nil
-	}
-	return DefaultPredictor, strategy.Default, nil
+		return s
+	}, name, nil
 }
 
 // Result is the outcome of one (workload, process count) experiment: the
@@ -108,8 +99,8 @@ type Result struct {
 	Procs    int
 	Receiver int
 
-	// Strategy is the name of the predictor that produced the accuracy
-	// numbers (the evaluated predictor's own Name; "dpd" by default).
+	// Strategy is the registry name of the strategy that produced the
+	// accuracy numbers (Options.Strategy, "dpd" by default).
 	Strategy string
 
 	// Characterisation of the receiver's logical stream (Table 1 row).

@@ -20,8 +20,8 @@ import (
 	"fmt"
 	"io"
 
-	"mpipredict/internal/predictor"
 	"mpipredict/internal/stats"
+	"mpipredict/internal/strategy"
 	"mpipredict/internal/stream"
 	"mpipredict/internal/trace"
 )
@@ -38,7 +38,7 @@ type pendingPred struct {
 // EvaluateStream exactly (same Hits/Total/Samples for any stream).
 type streamScorer struct {
 	horizons int
-	p        predictor.Predictor
+	p        strategy.Strategy
 	samples  int
 	hits     []int
 	total    []int
@@ -48,7 +48,7 @@ type streamScorer struct {
 	slots [][]pendingPred
 }
 
-func newStreamScorer(p predictor.Predictor, horizons int) *streamScorer {
+func newStreamScorer(p strategy.Strategy, horizons int) *streamScorer {
 	s := &streamScorer{
 		horizons: horizons,
 		p:        p,
@@ -103,14 +103,14 @@ type setWindow struct {
 // the positions the batch loop skips.
 type setScorer struct {
 	window int
-	p      predictor.Predictor
+	p      strategy.Strategy
 	i      int
 	sum    float64
 	count  int
 	wins   []setWindow
 }
 
-func newSetScorer(p predictor.Predictor, window int) *setScorer {
+func newSetScorer(p strategy.Strategy, window int) *setScorer {
 	s := &setScorer{window: window, p: p, wins: make([]setWindow, window)}
 	for i := range s.wins {
 		s.wins[i].predicted = make(map[int64]int, window)

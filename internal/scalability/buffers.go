@@ -3,7 +3,7 @@ package scalability
 import (
 	"fmt"
 
-	"mpipredict/internal/predictor"
+	"mpipredict/internal/core"
 	"mpipredict/internal/trace"
 )
 
@@ -30,7 +30,7 @@ type BufferConfig struct {
 	Horizon int
 	// Forecaster produces the (sender, size) forecasts. Nil selects a
 	// DPD-based message predictor with default configuration.
-	Forecaster *predictor.MessagePredictor
+	Forecaster *MessagePredictor
 }
 
 func (c BufferConfig) withDefaults() BufferConfig {
@@ -41,7 +41,7 @@ func (c BufferConfig) withDefaults() BufferConfig {
 		c.Horizon = 5
 	}
 	if c.Forecaster == nil {
-		c.Forecaster = predictor.NewDPDMessagePredictor(defaultPredictorConfig())
+		c.Forecaster = NewDPDMessagePredictor(core.DefaultConfig())
 	}
 	return c
 }
@@ -96,7 +96,7 @@ type BufferManager struct {
 	// next and forecast are scratch buffers reused across messages so the
 	// per-message reprovision performs no allocations in steady state.
 	next     map[int]bool
-	forecast []predictor.MessageForecast
+	forecast []MessageForecast
 }
 
 // NewBufferManager returns a manager for a job with the given number of

@@ -4,13 +4,8 @@ import (
 	"fmt"
 
 	"mpipredict/internal/core"
-	"mpipredict/internal/predictor"
 	"mpipredict/internal/trace"
 )
-
-// defaultPredictorConfig is the core configuration shared by the
-// scalability mechanisms' default forecasters.
-func defaultPredictorConfig() core.Config { return core.DefaultConfig() }
 
 // CreditConfig parameterises the credit-based flow control of Section 2.2.
 type CreditConfig struct {
@@ -18,7 +13,7 @@ type CreditConfig struct {
 	Horizon int
 	// Forecaster produces the (sender, size) forecasts. Nil selects a
 	// DPD-based message predictor.
-	Forecaster *predictor.MessagePredictor
+	Forecaster *MessagePredictor
 }
 
 func (c CreditConfig) withDefaults() CreditConfig {
@@ -26,7 +21,7 @@ func (c CreditConfig) withDefaults() CreditConfig {
 		c.Horizon = 5
 	}
 	if c.Forecaster == nil {
-		c.Forecaster = predictor.NewDPDMessagePredictor(defaultPredictorConfig())
+		c.Forecaster = NewDPDMessagePredictor(core.DefaultConfig())
 	}
 	return c
 }
@@ -90,7 +85,7 @@ type CreditManager struct {
 	// (swap + truncate) so the per-message regrant does not allocate in
 	// steady state.
 	next     map[int][]int64
-	forecast []predictor.MessageForecast
+	forecast []MessageForecast
 }
 
 // NewCreditManager builds a credit manager for a job with the given

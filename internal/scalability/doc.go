@@ -20,7 +20,9 @@
 //     issued, so the message travels with the fast eager path instead of
 //     paying the three-message rendezvous handshake.
 //
-// All three consume the same (sender, size) forecasts produced by
-// predictor.MessagePredictor and can be replayed over any recorded trace,
-// which is how the corresponding benchmark experiments are generated.
+// All three consume the same (sender, size) forecasts produced by a
+// MessagePredictor — two prediction strategies (internal/strategy), one
+// per stream, the DPD by default — and can be replayed over any recorded
+// trace, which is how the corresponding benchmark experiments are
+// generated.
 package scalability

@@ -3,7 +3,7 @@ package scalability
 import (
 	"fmt"
 
-	"mpipredict/internal/predictor"
+	"mpipredict/internal/core"
 	"mpipredict/internal/simnet"
 	"mpipredict/internal/trace"
 )
@@ -18,7 +18,7 @@ type ProtocolConfig struct {
 	Horizon int
 	// Forecaster produces the (sender, size) forecasts. Nil selects a
 	// DPD-based message predictor.
-	Forecaster *predictor.MessagePredictor
+	Forecaster *MessagePredictor
 }
 
 func (c ProtocolConfig) withDefaults() ProtocolConfig {
@@ -29,7 +29,7 @@ func (c ProtocolConfig) withDefaults() ProtocolConfig {
 		c.Horizon = 5
 	}
 	if c.Forecaster == nil {
-		c.Forecaster = predictor.NewDPDMessagePredictor(defaultPredictorConfig())
+		c.Forecaster = NewDPDMessagePredictor(core.DefaultConfig())
 	}
 	return c
 }
@@ -84,7 +84,7 @@ type ProtocolAdvisor struct {
 	// (swap + truncate) so the per-message regrant does not allocate in
 	// steady state.
 	next     map[int][]int64
-	forecast []predictor.MessageForecast
+	forecast []MessageForecast
 }
 
 // NewProtocolAdvisor builds an advisor.

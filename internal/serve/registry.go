@@ -89,7 +89,7 @@ type Event struct {
 }
 
 // Forecast is the joint prediction for one future message of a session.
-// Unlike predictor.MessageForecast it carries per-stream ok flags, so a
+// Unlike scalability.MessageForecast it carries per-stream ok flags, so a
 // client scoring only sender accuracy (the paper's Figures 3/4 protocol)
 // sees exactly what the offline harness sees: the sender predictor's own
 // abstentions, not the size predictor's.

@@ -23,8 +23,9 @@ const Markov1MaxValues = 1024
 // so the steady-state Observe path is two slice indexings and a map lookup
 // — no allocations once the stream's alphabet has been seen.
 //
-// It is a separate implementation from predictor.Markov(1) (the Section 6
-// comparison baseline): that one breaks successor ties toward the
+// It is a separate implementation from the order-1 Markov baseline of the
+// Section 6 comparison (a test-local predictor beside
+// BenchmarkBaselineComparison): that one breaks successor ties toward the
 // smallest value and interns nothing, while this one breaks ties toward
 // the earliest-interned value so its snapshots restore exactly. On
 // tie-free streams the two agree; on ties their predictions can differ.

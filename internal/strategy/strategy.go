@@ -8,14 +8,18 @@
 //   - "dpd"       — the paper's Dynamic Periodicity Detector predictor
 //     (core.StreamPredictor behind the interface, bit-for-bit identical),
 //   - "lastvalue" — predict the most recently observed value for every
-//     horizon (the natural floor baseline), and
+//     horizon (the natural floor baseline),
 //   - "markov1"   — a first-order transition-frequency predictor over
-//     interned values (the classic history-based alternative).
+//     interned values (the classic history-based alternative), and
+//   - "meta"      — an adaptive router over every other registered
+//     strategy, scored against realized arrivals.
 //
-// Every layer above core selects its predictor through this registry: the
+// Strategy is the only stream-predictor contract in the system, and every
+// layer above core selects its predictor through this registry: the
 // evaluation harness (evalx.Options.Strategy), the online service (one
 // strategy per session, chosen at first observe), the scalability replays
-// and the CLIs' -predictor flags. A strategy serializes its own state to an
+// (scalability.MessagePredictor pairs a sender and a size strategy) and
+// the CLIs' -predictor flags. A strategy serializes its own state to an
 // opaque payload (Snapshot/Restore), which is what lets the serving
 // snapshot format persist heterogeneous sessions without knowing anything
 // about the models inside them.

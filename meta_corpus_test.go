@@ -11,7 +11,6 @@ import (
 
 	"mpipredict/internal/core"
 	"mpipredict/internal/evalx"
-	"mpipredict/internal/predictor"
 	"mpipredict/internal/strategy"
 )
 
@@ -23,12 +22,12 @@ func TestMetaWithinOnePointOfBestSingleOnCorpus(t *testing.T) {
 	mean := map[string]float64{}
 	for _, name := range strategy.Names() {
 		hits, total := 0, 0
-		factory := func() predictor.Predictor {
+		factory := func() strategy.Strategy {
 			s, err := strategy.New(name, core.DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
-			return predictor.FromStrategy(s)
+			return s
 		}
 		for _, c := range corpusSpecs() {
 			for _, stream := range corpusStreams(t, c.File) {

@@ -6,7 +6,7 @@
 // internal/:
 //
 //   - the Dynamic Periodicity Detector based stream predictor (the paper's
-//     contribution) and the baseline predictors it is compared against,
+//     contribution) and the prediction strategies it is compared against,
 //   - a simulated MPI runtime with dual-level (logical / physical) receive
 //     tracing and communication skeletons of the five benchmarks the
 //     paper studies (NAS BT, CG, LU, IS and ASCI Sweep3D),
@@ -22,9 +22,9 @@
 //	fmt.Printf("logical +1 sender accuracy: %.1f%%\n",
 //	    100*res.Accuracy(mpipredict.SenderStream, mpipredict.Logical, 1))
 //
-// See the examples/ directory for runnable programs and cmd/mpipredict for
-// the experiment driver that regenerates every table and figure of the
-// paper.
+// See the package examples and the examples/ directory for runnable
+// programs, and cmd/mpipredict for the experiment driver that regenerates
+// every table and figure of the paper.
 package mpipredict
 
 import (
@@ -33,7 +33,6 @@ import (
 	"mpipredict/internal/cluster"
 	"mpipredict/internal/core"
 	"mpipredict/internal/evalx"
-	"mpipredict/internal/predictor"
 	"mpipredict/internal/report"
 	"mpipredict/internal/scalability"
 	"mpipredict/internal/serve"
@@ -58,19 +57,16 @@ type (
 	StreamPredictor = core.StreamPredictor
 	// Prediction is a single multi-step-ahead prediction.
 	Prediction = core.Prediction
-	// Predictor is the interface shared by the DPD and the baseline
-	// predictors.
-	Predictor = predictor.Predictor
 	// MessagePredictor couples a sender-stream and a size-stream
-	// predictor into per-message forecasts.
-	MessagePredictor = predictor.MessagePredictor
+	// strategy into per-message forecasts.
+	MessagePredictor = scalability.MessagePredictor
 	// MessageForecast is the joint (sender, size) forecast for one future
 	// message.
-	MessageForecast = predictor.MessageForecast
+	MessageForecast = scalability.MessageForecast
 	// Strategy is the full per-stream prediction-model contract: online
 	// observation, multi-step prediction with buffer reuse, and
 	// serializable state. Every layer selects its model through the
-	// strategy registry ("dpd", "lastvalue", "markov1").
+	// strategy registry ("dpd", "lastvalue", "markov1", "meta").
 	Strategy = strategy.Strategy
 	// StrategyDesc identifies a strategy instance (registry name and
 	// configuration summary).
@@ -249,14 +245,6 @@ func NewPredictor(cfg PredictorConfig) *StreamPredictor {
 	return core.NewStreamPredictor(cfg)
 }
 
-// NewBaselinePredictor returns one of the registered predictors by name
-// ("dpd", "last-value", "markov1", "markov2", "cycle", "successor",
-// "most-frequent").
-func NewBaselinePredictor(name string) (Predictor, error) { return predictor.New(name) }
-
-// BaselinePredictors lists the registered predictor names.
-func BaselinePredictors() []string { return predictor.Names() }
-
 // NewStrategy builds a prediction strategy by registered name (the empty
 // name selects the default, the paper's DPD). The configuration
 // parameterizes the DPD; strategies without tunables ignore it.
@@ -273,11 +261,6 @@ func RestoreStrategy(name string, payload []byte) (Strategy, error) {
 	return strategy.Restore(name, payload)
 }
 
-// StrategyPredictor adapts a strategy to the Predictor interface, so
-// registry-selected strategies plug into MessagePredictor and the
-// evaluation helpers.
-func StrategyPredictor(s Strategy) Predictor { return predictor.FromStrategy(s) }
-
 // CompareStrategies evaluates the named strategies (nil = all registered)
 // on the given workloads (nil = one representative spec per benchmark)
 // and returns the per-workload accuracy comparison.
@@ -293,7 +276,7 @@ func FormatStrategyComparison(cmp StrategyComparison) string {
 
 // NewMessagePredictor returns a DPD-based joint (sender, size) forecaster.
 func NewMessagePredictor(cfg PredictorConfig) *MessagePredictor {
-	return predictor.NewDPDMessagePredictor(cfg)
+	return scalability.NewDPDMessagePredictor(cfg)
 }
 
 // Workloads lists the available benchmark skeletons.

@@ -16,18 +16,6 @@ func TestFacadePredictors(t *testing.T) {
 	if v, ok := p.Predict(1); !ok || v != 0 {
 		t.Errorf("facade predictor Predict(1)=%d,%v want 0,true", v, ok)
 	}
-	names := BaselinePredictors()
-	if len(names) < 5 {
-		t.Errorf("expected several baseline predictors, got %v", names)
-	}
-	for _, n := range names {
-		if _, err := NewBaselinePredictor(n); err != nil {
-			t.Errorf("NewBaselinePredictor(%q): %v", n, err)
-		}
-	}
-	if _, err := NewBaselinePredictor("bogus"); err == nil {
-		t.Error("unknown baseline should fail")
-	}
 	mp := NewMessagePredictor(DefaultPredictorConfig())
 	for i := 0; i < 100; i++ {
 		mp.Observe(1+i%2, int64(100*(1+i%2)))

@@ -15,7 +15,6 @@ import (
 
 	"mpipredict/internal/core"
 	"mpipredict/internal/evalx"
-	"mpipredict/internal/predictor"
 	"mpipredict/internal/strategy"
 	"mpipredict/internal/trace"
 )
@@ -72,15 +71,16 @@ func TestDPDStrategyMatchesCoreOnCorpus(t *testing.T) {
 
 // TestDPDStrategyScoresIdenticallyOnCorpus runs the evaluation harness's
 // own scoring loop both ways: the accuracy tables the figures are built
-// from must not move by a single hit when the DPD is selected through the
-// strategy registry.
+// from must not move by a single hit between the harness's default
+// predictor (a nil factory) and the DPD selected through the strategy
+// registry.
 func TestDPDStrategyScoresIdenticallyOnCorpus(t *testing.T) {
-	dpdFactory := func() predictor.Predictor {
+	dpdFactory := func() strategy.Strategy {
 		s, err := strategy.New("dpd", core.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return predictor.FromStrategy(s)
+		return s
 	}
 	for _, c := range corpusSpecs() {
 		t.Run(c.File, func(t *testing.T) {
