@@ -344,7 +344,8 @@ func BenchmarkStrategyPredict(b *testing.B) {
 
 // BenchmarkCoreObserve measures the DPD layer below strategy dispatch:
 // the bare detector and the StreamPredictor in its locked and learning
-// states (benchdefs.CoreBenchLayers).
+// states and on a stream that keeps unlocking it
+// (benchdefs.CoreBenchLayers).
 func BenchmarkCoreObserve(b *testing.B) {
 	for _, layer := range benchdefs.CoreBenchLayers {
 		b.Run(layer, func(b *testing.B) {

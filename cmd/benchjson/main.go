@@ -405,7 +405,7 @@ func strategyBenchmarks(entries []entry) []entry {
 }
 
 // coreBenchmarks appends one observe entry per core DPD layer (bare
-// detector, locked and learning predictor): the layers below
+// detector; locked, learning and churning predictor): the layers below
 // strategy-observe-dpd in the per-layer ledger.
 func coreBenchmarks(entries []entry) []entry {
 	for _, layer := range benchdefs.CoreBenchLayers {

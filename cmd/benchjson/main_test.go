@@ -30,7 +30,7 @@ func TestListPrintsEveryBenchmark(t *testing.T) {
 	for _, want := range []string{"table1", "figures34", "figure3-cold-serial", "serve-observe", "serve-predict",
 		"wire-observe-block", "wire-predict", "serve-observe-block-markov1",
 		"strategy-observe-dpd", "strategy-predict-dpd", "strategy-observe-lastvalue", "strategy-predict-markov1",
-		"core-detector-observe", "core-stream-observe-locked", "core-stream-observe-learning"} {
+		"core-detector-observe", "core-stream-observe-locked", "core-stream-observe-learning", "core-stream-observe-churn"} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("-list output missing %q:\n%s", want, stdout)
 		}

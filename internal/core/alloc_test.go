@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -186,20 +187,67 @@ func TestPredictSeriesIntoMatchesPredictSeries(t *testing.T) {
 	}
 }
 
-// TestWindowIntoMatchesWindow checks the zero-copy snapshot path.
-func TestWindowIntoMatchesWindow(t *testing.T) {
-	d := NewDetector(Config{WindowSize: 8, MaxLag: 4})
-	for i := int64(0); i < 13; i++ { // wraps the ring
-		d.Observe(i)
+// predictorBudget is the most a default-configuration StreamPredictor may
+// allocate from construction through locking onto a pattern: the window
+// ring with its replay slots, the counts, the outcome ring, the pattern
+// and the vote's scratch map. A dpd session holds two, one per stream,
+// so a session's predictors stay within twice this. DESIGN §4 states the
+// measured figure.
+const predictorBudget = 9 << 10
+
+// TestStreamPredictorMemoryBudget checks the per-predictor share of the
+// per-session memory bound: every byte allocated by building a default
+// predictor and warming it into the locked state on a period-18 stream.
+// The allowed table is shared at the default configuration, so it is not
+// part of the budget.
+func TestStreamPredictorMemoryBudget(t *testing.T) {
+	const n = 32
+	stream := periodicStream(2*DefaultConfig().WindowSize, 18)
+	preds := make([]*StreamPredictor, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range preds {
+		preds[i] = NewStreamPredictor(DefaultConfig())
+		for _, x := range stream {
+			preds[i].Observe(x)
+		}
 	}
-	snap := d.Window()
-	into := d.WindowInto(nil)
-	if len(snap) != len(into) {
-		t.Fatalf("length mismatch: %d vs %d", len(snap), len(into))
+	runtime.ReadMemStats(&after)
+	for _, p := range preds {
+		if p.State() != Locked {
+			t.Fatal("predictor did not lock on a periodic stream")
+		}
 	}
-	for i := range snap {
-		if snap[i] != into[i] {
-			t.Errorf("window[%d] differs: %d vs %d", i, snap[i], into[i])
+	perPredictor := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("%d bytes per locked default predictor", perPredictor)
+	if perPredictor > predictorBudget {
+		t.Errorf("a locked default predictor allocated %d bytes, budget %d", perPredictor, predictorBudget)
+	}
+	if &preds[0].det.allowed[0] != &preds[n-1].det.allowed[0] {
+		t.Error("default-configuration detectors do not share one allowed table")
+	}
+}
+
+// TestAllowedTableSharedOnlyAtDefault checks that a non-default window or
+// tolerance — which a snapshot, untrusted input, may carry — gets a table
+// of its own with the right entries, and never the shared one.
+func TestAllowedTableSharedOnlyAtDefault(t *testing.T) {
+	def := DefaultConfig()
+	for _, cfg := range []Config{
+		{WindowSize: def.WindowSize, LockTolerance: 0.1},
+		{WindowSize: 64, LockTolerance: def.LockTolerance},
+	} {
+		table := allowedTable(cfg)
+		if len(table) != cfg.WindowSize+1 {
+			t.Fatalf("%+v: table of %d entries, want %d", cfg, len(table), cfg.WindowSize+1)
+		}
+		if &table[0] == &defaultAllowed[0] {
+			t.Errorf("%+v: got the shared default table", cfg)
+		}
+		for p, v := range table {
+			if want := int(cfg.LockTolerance * float64(p)); v != want {
+				t.Fatalf("%+v: allowed[%d] = %d, want %d", cfg, p, v, want)
+			}
 		}
 	}
 }

@@ -11,8 +11,11 @@ import (
 // tracks the O(MaxLag) incremental update the paper's Section 4 design
 // calls for.
 
+// benchStream returns up to n samples of an exactly periodic stream: a
+// whole number of periods, so a benchmark that wraps around it sees a
+// seamless pattern and a locked predictor never misses.
 func benchStream(n, period int) []int64 {
-	out := make([]int64, n)
+	out := make([]int64, n-n%period)
 	for i := range out {
 		out[i] = int64(i % period)
 	}
@@ -37,7 +40,7 @@ func BenchmarkDetectorObserveFullWindow(b *testing.B) {
 
 // BenchmarkStreamPredictorObserveLocked measures the steady-state observe
 // path of a locked predictor: expectation check, outcome ring update and
-// detector feed.
+// window push.
 func BenchmarkStreamPredictorObserveLocked(b *testing.B) {
 	p := NewStreamPredictor(DefaultConfig())
 	stream := benchStream(4*p.cfg.WindowSize, 18)
@@ -51,6 +54,10 @@ func BenchmarkStreamPredictorObserveLocked(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Observe(stream[i%len(stream)])
+	}
+	b.StopTimer()
+	if c := p.Counters(); c.Unlocks != 0 {
+		b.Fatalf("predictor unlocked %d times on a seamless periodic stream", c.Unlocks)
 	}
 }
 

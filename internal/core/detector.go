@@ -10,18 +10,28 @@ import "fmt"
 //
 // Mismatch counts are maintained incrementally: each Observe call touches
 // only the pairs gained and lost at the window boundaries, so the cost per
-// observation is O(MaxLag) regardless of the window size.
+// observation is O(MaxLag) regardless of the window size. A locked
+// StreamPredictor does not read the counts, so it feeds the detector
+// through push, which only appends to the window and leaves the counts
+// stale. Every method that reads the counts first brings them up to date
+// (catchUp), so callers always see equation (1) over the current window.
 //
-// Detector is not safe for concurrent use; wrap it if multiple goroutines
-// feed the same stream.
+// Detector is not safe for concurrent use, and its count readers mutate
+// it; wrap it if multiple goroutines feed or query the same stream.
 type Detector struct {
 	cfg      Config
 	win      ring
 	mismatch []int // mismatch[m] for m in 1..MaxLag (index 0 unused)
 	observed int64 // total samples ever observed
 
+	// stale is the number of samples pushed since the counts last matched
+	// the window, and validLen the window length they matched then.
+	stale    int
+	validLen int
+
 	// allowed[p] is the largest mismatch count within LockTolerance for
 	// a lag compared over p pairs: int(LockTolerance*p), p = 0..WindowSize.
+	// It is read-only and may be shared between detectors.
 	allowed []int
 }
 
@@ -42,10 +52,37 @@ func NewDetector(cfg Config) *Detector {
 func newDetector(cfg Config) *Detector {
 	return &Detector{
 		cfg:      cfg,
-		win:      newRing(cfg.WindowSize),
+		win:      newRing(cfg.WindowSize, replayLimit(cfg)),
 		mismatch: make([]int, cfg.MaxLag+1),
-		allowed:  allowedMismatches(cfg.WindowSize, cfg.LockTolerance),
+		allowed:  allowedTable(cfg),
 	}
+}
+
+// replayLimit is the largest number of skipped count updates catchUp
+// replays instead of rebuilding the counts, and so the number of evicted
+// samples the window ring keeps. Replaying k updates of a full window
+// costs 2·k·MaxLag compares; a rebuild costs W·MaxLag − MaxLag²/2. The
+// two meet at k = W/2 − MaxLag/4 (208 for the default configuration). It
+// is at least 1 for every valid configuration, since MaxLag < W.
+func replayLimit(cfg Config) int {
+	return cfg.WindowSize/2 - cfg.MaxLag/4
+}
+
+// defaultAllowed is the allowed table of DefaultConfig. Every detector
+// with the default WindowSize and LockTolerance shares it; it is never
+// written after package initialization.
+var defaultAllowed = allowedMismatches(DefaultConfig().WindowSize, DefaultConfig().LockTolerance)
+
+// allowedTable returns the allowed table for cfg: the shared default one
+// when cfg has the default window and tolerance, a fresh one otherwise.
+// Only the default pair is shared, so snapshot configurations (untrusted
+// input) cannot grow any global state.
+func allowedTable(cfg Config) []int {
+	def := DefaultConfig()
+	if cfg.WindowSize == def.WindowSize && cfg.LockTolerance == def.LockTolerance {
+		return defaultAllowed
+	}
+	return allowedMismatches(cfg.WindowSize, cfg.LockTolerance)
 }
 
 // allowedMismatches returns the table allowed[p] = int(tol*p) for
@@ -73,11 +110,6 @@ func (d *Detector) Observed() int64 { return d.observed }
 // Window returns a copy of the current window contents, oldest first.
 func (d *Detector) Window() []int64 { return d.win.Snapshot() }
 
-// WindowInto appends the current window contents to dst, oldest first, and
-// returns it. It lets callers that snapshot repeatedly (the predictor's
-// lock path) reuse one buffer.
-func (d *Detector) WindowInto(dst []int64) []int64 { return d.win.AppendTo(dst) }
-
 // Reset discards all state, returning the detector to its initial
 // condition without reallocating.
 func (d *Detector) Reset() {
@@ -86,35 +118,101 @@ func (d *Detector) Reset() {
 		d.mismatch[i] = 0
 	}
 	d.observed = 0
+	d.stale = 0
+	d.validLen = 0
 }
 
-// Observe appends one sample to the window, updating all per-lag mismatch
-// counts incrementally. Both passes read the window as at most two
+// Observe appends one sample to the window and updates all per-lag
+// mismatch counts, first applying any updates that push skipped.
+func (d *Detector) Observe(x int64) {
+	d.push(x)
+	d.catchUp()
+}
+
+// push appends one sample to the window without updating the counts,
+// which become stale until the next catchUp. It is the locked
+// StreamPredictor's observe: two O(MaxLag) passes less per sample.
+func (d *Detector) push(x int64) {
+	if d.stale == 0 {
+		d.validLen = d.win.Len()
+	}
+	d.win.Push(x)
+	d.observed++
+	d.stale++
+}
+
+// catchUp brings stale counts up to date with the window, by whichever
+// is cheaper: replaying the skipped incremental updates, which needs the
+// samples they evicted (the ring keeps replayLimit of them), or
+// rebuilding the counts from the window.
+func (d *Detector) catchUp() {
+	k := d.stale
+	if k == 0 {
+		return
+	}
+	d.stale = 0
+	if k > d.win.Spare() {
+		d.rebuild()
+		return
+	}
+	// The j-th skipped sample sits at index n-k+j; the window it was
+	// pushed into held min(WindowSize, validLen+j) samples.
+	n := d.win.Len()
+	for j := range k {
+		d.advance(n-k+j, min(d.cfg.WindowSize, d.validLen+j))
+	}
+}
+
+// advance applies the incremental count update for the sample at window
+// index e, pushed into a window of prev samples: window[e-prev..e-1].
+// When that window was full, its oldest sample, window[e-prev], was
+// evicted by the push; for every lag m the pair in which it is the older
+// element — (window[e-prev+m], window[e-prev]) — leaves the set of
+// compared positions. The new sample forms one new pair per lag:
+// (window[e], window[e-m]). Both passes read the window as at most two
 // contiguous runs of the ring's backing array, so the per-lag work is one
 // compare and one counter update.
-func (d *Detector) Observe(x int64) {
-	if d.win.Full() {
-		// The oldest sample is about to be evicted. For every lag m the
-		// pair in which the evicted sample is the older element — the pair
-		// (window[m], window[0]) — leaves the set of compared positions.
-		// window[1..lim] runs oldest-first, in step with mismatch[1..lim].
-		lim := min(d.cfg.MaxLag, d.win.Len()-1)
-		oldest := d.win.At(0)
-		a, b := d.win.Segments(1, lim+1)
+func (d *Detector) advance(e, prev int) {
+	if prev == d.cfg.WindowSize {
+		// window[e-prev+1..e-prev+lim] runs oldest-first, in step with
+		// mismatch[1..lim].
+		lim := min(d.cfg.MaxLag, prev-1)
+		a, b := d.win.Segments(e-prev, e-prev+1+lim)
+		oldest := a[0]
+		a = a[1:]
 		mm := d.mismatch[1 : lim+1]
 		uncount(mm[:len(a)], a, oldest)
 		uncount(mm[len(a):], b, oldest)
 	}
-	d.win.Push(x)
-	d.observed++
-	// The new sample forms one new pair per lag: (x, window[n-1-m]). Read
-	// newest-first, window[n-1-lim..n-2] is in step with mismatch[1..lim].
-	n := d.win.Len()
-	lim := min(d.cfg.MaxLag, n-1)
-	a, b := d.win.Segments(n-1-lim, n-1)
+	// Read newest-first, window[e-lim..e-1] is in step with
+	// mismatch[1..lim].
+	x := d.win.At(e)
+	lim := min(d.cfg.MaxLag, prev)
+	a, b := d.win.Segments(e-lim, e)
 	mm := d.mismatch[1 : lim+1]
 	countReversed(mm[:len(b)], b, x)
 	countReversed(mm[len(b):], a, x)
+}
+
+// rebuild recomputes every count from the window, one contiguous pass
+// per lag, after rotating the ring so the window is one run. Counts of
+// lags the window is too short for are zero already: the window only
+// shrinks in Reset, which zeroes them.
+func (d *Detector) rebuild() {
+	w := d.win.Unwrap()
+	for m := 1; m <= min(d.cfg.MaxLag, len(w)-1); m++ {
+		d.mismatch[m] = mismatches(w[m:], w[:len(w)-m])
+	}
+}
+
+// mismatches counts the positions i with a[i] != b[i]; len(b) >= len(a).
+func mismatches(a, b []int64) int {
+	b = b[:len(a)]
+	c := 0
+	for i, v := range a {
+		c += b2i(v != b[i])
+	}
+	return c
 }
 
 // uncount decrements mm[i] for every i with s[i] != x; len(s) == len(mm).
@@ -153,6 +251,7 @@ func (d *Detector) Distance(m int) int {
 	if m < 1 || m > d.cfg.MaxLag {
 		panic(fmt.Sprintf("core: Distance lag %d out of range 1..%d", m, d.cfg.MaxLag))
 	}
+	d.catchUp()
 	return d.mismatch[m]
 }
 
@@ -187,6 +286,7 @@ func (d *Detector) searchLimit() int {
 // MinRepeats*m samples. ok is false when no such lag exists, which is the
 // detector's way of saying "no iterative pattern visible yet".
 func (d *Detector) Period() (period int, ok bool) {
+	d.catchUp()
 	for i, c := range d.mismatch[1 : d.searchLimit()+1] {
 		if c == 0 {
 			return i + 1, true
@@ -203,6 +303,7 @@ func (d *Detector) PeriodWithin(tol float64) (period int, ok bool) {
 	if tol < 0 {
 		tol = 0
 	}
+	d.catchUp()
 	n, lim := d.win.Len(), d.searchLimit()
 	for m := 1; m <= lim; m++ {
 		if d.mismatch[m] <= int(tol*float64(n-m)) {
@@ -220,6 +321,7 @@ func (d *Detector) PeriodWithin(tol float64) (period int, ok bool) {
 // continues from it for a strict lag. The tolerance test reads the
 // allowed table, so it costs an integer compare per lag.
 func (d *Detector) lockPeriod() (period int, ok bool) {
+	d.catchUp()
 	n := d.win.Len()
 	lim := d.searchLimit()
 	m := 1
@@ -244,6 +346,7 @@ func (d *Detector) lockPeriod() (period int, ok bool) {
 // (index 0 is unused and always zero). It is useful for offline analysis
 // and for plotting the distance profile of a stream.
 func (d *Detector) Periodogram() []int {
+	d.catchUp()
 	out := make([]int, len(d.mismatch))
 	copy(out, d.mismatch)
 	return out
@@ -300,14 +403,16 @@ type Prediction struct {
 	OK    bool
 }
 
-// DetectPeriod is a convenience helper that runs a fresh Detector over an
-// entire slice and reports the period detected at the end. It is used by
-// the Figure 1 experiment, which asks for the period of the sender and
-// size streams of a whole trace rather than for online predictions.
+// DetectPeriod is a convenience helper that reports the period a fresh
+// Detector detects at the end of an entire slice. It is used by the
+// Figure 1 experiment, which asks for the period of the sender and size
+// streams of a whole trace rather than for online predictions. The counts
+// depend only on the final window, so only the last WindowSize samples are
+// pushed and the counts are computed once.
 func DetectPeriod(xs []int64, cfg Config) (period int, ok bool) {
 	d := NewDetector(cfg)
-	for _, x := range xs {
-		d.Observe(x)
+	for _, x := range xs[max(0, len(xs)-d.cfg.WindowSize):] {
+		d.push(x)
 	}
 	return d.Period()
 }

@@ -260,7 +260,7 @@ func runAgainstRef(t *testing.T, cfg Config, name string, stream []int64) {
 		c.LockTolerance = tol
 		dets[i], refs[i] = newDetector(c), newRefDetector(c)
 	}
-	heads := make([]bool, cfg.WindowSize)
+	heads := make([]bool, len(dets[0].win.buf))
 	for step, x := range stream {
 		for i := range dets {
 			dets[i].Observe(x)

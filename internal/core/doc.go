@@ -21,7 +21,9 @@
 // window is exactly periodic with period m. The implementation keeps the
 // per-lag mismatch counts incrementally (O(M) work per observation, no
 // rescan of the window), mirroring the circular-list, low-overhead
-// implementation the paper requires for runtime use.
+// implementation the paper requires for runtime use. While a predictor is
+// locked onto a pattern it does not need the counts, so it skips their
+// updates and they catch up when next read.
 //
 // Two layers are provided:
 //

@@ -1,12 +1,13 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
 func TestRingBasics(t *testing.T) {
-	r := newRing(3)
+	r := newRing(3, 0)
 	if r.Cap() != 3 || r.Len() != 0 || r.Full() {
 		t.Fatalf("fresh ring wrong: cap=%d len=%d full=%v", r.Cap(), r.Len(), r.Full())
 	}
@@ -42,7 +43,7 @@ func TestRingBasics(t *testing.T) {
 }
 
 func TestRingReset(t *testing.T) {
-	r := newRing(4)
+	r := newRing(4, 0)
 	for i := int64(0); i < 10; i++ {
 		r.Push(i)
 	}
@@ -57,7 +58,7 @@ func TestRingReset(t *testing.T) {
 }
 
 func TestRingZeroCapacityClamped(t *testing.T) {
-	r := newRing(0)
+	r := newRing(0, 0)
 	if r.Cap() != 1 {
 		t.Fatalf("zero capacity should clamp to 1, got %d", r.Cap())
 	}
@@ -69,7 +70,7 @@ func TestRingZeroCapacityClamped(t *testing.T) {
 }
 
 func TestRingAtPanicsOutOfRange(t *testing.T) {
-	r := newRing(2)
+	r := newRing(2, 0)
 	r.Push(1)
 	for _, idx := range []int{-1, 1, 5} {
 		func() {
@@ -84,11 +85,11 @@ func TestRingAtPanicsOutOfRange(t *testing.T) {
 }
 
 // Property: a ring of capacity c fed any sequence reports the last
-// min(len, c) values of that sequence, in order.
+// min(len, c) values of that sequence, in order, whatever its spare slots.
 func TestRingMatchesSliceSuffix(t *testing.T) {
 	f := func(vals []int64, capRaw uint8) bool {
 		c := int(capRaw%16) + 1
-		r := newRing(c)
+		r := newRing(c, int(capRaw/16)%4)
 		for _, v := range vals {
 			r.Push(v)
 		}
@@ -113,37 +114,53 @@ func TestRingMatchesSliceSuffix(t *testing.T) {
 }
 
 // Property: Segments(i, j) concatenated is the logical range [i, j) of
-// the window, for every range and every head position.
+// the pushed sequence, for every range and every head position, including
+// the evicted samples the spare slots keep (negative i). Unwrap leaves
+// every range unchanged.
 func TestRingSegmentsMatchSnapshot(t *testing.T) {
 	for c := 1; c <= 9; c++ {
-		r := newRing(c)
-		for pushed := 0; pushed < 3*c+2; pushed++ {
-			snap := r.Snapshot()
-			for i := 0; i <= r.Len(); i++ {
-				for j := i; j <= r.Len(); j++ {
-					a, b := r.Segments(i, j)
-					if len(b) > 0 && len(a) == 0 {
-						t.Fatalf("cap %d head %d [%d,%d): empty first segment before a non-empty second", c, r.head, i, j)
-					}
-					got := append(append([]int64(nil), a...), b...)
-					want := snap[i:j]
-					if len(got) != len(want) {
-						t.Fatalf("cap %d head %d [%d,%d): got %v want %v", c, r.head, i, j, got, want)
-					}
-					for k := range got {
-						if got[k] != want[k] {
-							t.Fatalf("cap %d head %d [%d,%d): got %v want %v", c, r.head, i, j, got, want)
-						}
-					}
+		for spare := 0; spare <= 3; spare++ {
+			r := newRing(c, spare)
+			var pushed []int64
+			for step := 0; step < 3*(c+spare)+2; step++ {
+				checkRingSegments(t, &r, pushed)
+				if step%3 == 2 {
+					r.Unwrap()
+					checkRingSegments(t, &r, pushed)
 				}
+				x := int64(100 + step)
+				r.Push(x)
+				pushed = append(pushed, x)
 			}
-			r.Push(int64(100 + pushed))
 		}
 	}
 }
 
+// checkRingSegments compares every readable range of r with the tail of
+// the sequence pushed into it.
+func checkRingSegments(t *testing.T, r *ring, pushed []int64) {
+	t.Helper()
+	evicted := len(pushed) - r.Len()
+	for i := -min(evicted, r.Spare()); i <= r.Len(); i++ {
+		for j := i; j <= r.Len(); j++ {
+			a, b := r.Segments(i, j)
+			if len(b) > 0 && len(a) == 0 {
+				t.Fatalf("cap %d spare %d head %d [%d,%d): empty first segment before a non-empty second", r.Cap(), r.Spare(), r.head, i, j)
+			}
+			got := append(append([]int64(nil), a...), b...)
+			want := pushed[evicted+i : evicted+j]
+			if !slices.Equal(got, want) {
+				t.Fatalf("cap %d spare %d head %d [%d,%d): got %v want %v", r.Cap(), r.Spare(), r.head, i, j, got, want)
+			}
+		}
+	}
+	if got, want := r.Unwrap(), pushed[evicted:]; !slices.Equal(got, want) {
+		t.Fatalf("cap %d spare %d: Unwrap() = %v, want %v", r.Cap(), r.Spare(), got, want)
+	}
+}
+
 func TestRingSegmentsPanicsOutOfRange(t *testing.T) {
-	r := newRing(4)
+	r := newRing(4, 0)
 	r.Push(1)
 	r.Push(2)
 	for _, rg := range [][2]int{{-1, 1}, {1, 0}, {0, 3}} {

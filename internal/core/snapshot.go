@@ -90,9 +90,9 @@ func (p *StreamPredictor) recentOutcomes() []bool {
 // RestoreStreamPredictor rebuilds a predictor from a snapshot. The
 // snapshot is validated in full — a corrupt or hand-edited snapshot yields
 // an error, never a predictor that panics later. The detector's per-lag
-// mismatch counts are not stored; they are reconstructed exactly by
-// replaying the window, which is cheaper than persisting them and cannot
-// disagree with the window contents.
+// mismatch counts are not stored: the window is pushed back and the
+// counts are rebuilt from it when first read, which is cheaper than
+// persisting them and cannot disagree with the window contents.
 func RestoreStreamPredictor(s PredictorSnapshot) (*StreamPredictor, error) {
 	cfg := s.Config
 	if err := cfg.Validate(); err != nil {
@@ -120,7 +120,7 @@ func RestoreStreamPredictor(s PredictorSnapshot) (*StreamPredictor, error) {
 		p.recent = make([]bool, cfg.RelearnWindow)
 	}
 	for _, x := range s.Window {
-		p.det.Observe(x)
+		p.det.push(x)
 	}
 	p.det.observed = s.WindowObserved
 

@@ -72,11 +72,9 @@ type StreamPredictor struct {
 	candidatePeriod int
 	candidateRuns   int
 
-	// scratchWin and scratchCounts are reused across lock events so that
-	// locking onto a pattern does not allocate a fresh window snapshot and
-	// one counting map per phase every time (predictors on noisy physical
-	// streams relock often).
-	scratchWin    []int64
+	// scratchCounts is reused across lock events so that locking onto a
+	// pattern does not allocate one counting map per phase every time
+	// (predictors on noisy physical streams relock often).
 	scratchCounts map[int64]int
 
 	counters Counters
@@ -157,7 +155,10 @@ func (p *StreamPredictor) Observe(x int64) {
 		}
 		p.recordOutcome(hit)
 		p.phase = (p.phase + 1) % len(p.pattern)
-		p.det.Observe(x)
+		// Nothing reads the detector's counts while locked, so the sample
+		// only enters the window; the counts catch up when learning
+		// resumes.
+		p.det.push(x)
 		if p.missStreak > p.cfg.HoldDown || p.missRateExceeded() {
 			p.unlock()
 		}
@@ -198,8 +199,9 @@ func (p *StreamPredictor) searchPeriod() (int, bool) {
 // window and switches to the Locked state. The next expected observation
 // is the one that follows the most recent window sample.
 func (p *StreamPredictor) lock(period int) {
-	p.scratchWin = p.det.WindowInto(p.scratchWin[:0])
-	win := p.scratchWin
+	// The vote reads the window in place, rotated to one contiguous run,
+	// rather than from a copy.
+	win := p.det.win.Unwrap()
 	if period <= 0 || len(win) < period {
 		return
 	}

@@ -307,12 +307,20 @@ func (c *cursor) varint(what string) int64 {
 }
 
 // bytes returns a view into the payload — no copy; the view lives only
-// as long as the frame buffer.
+// as long as the frame buffer. The length read is inlined rather than
+// going through uvarint so the "<what> length" name is only built on the
+// error path: a concatenation passed on would escape and allocate on
+// every call.
 func (c *cursor) bytes(what string) []byte {
-	n := c.uvarint(what + " length")
 	if c.err != nil {
 		return nil
 	}
+	n, k := binary.Uvarint(c.p[c.off:])
+	if k <= 0 {
+		c.fail("reading %s length at offset %d", what, c.off)
+		return nil
+	}
+	c.off += k
 	if n > maxStringLen {
 		c.fail("%s length %d exceeds the format limit %d", what, n, maxStringLen)
 		return nil
@@ -400,17 +408,24 @@ func (v *ObserveView) Decode(p []byte) error {
 }
 
 // decodeColumn decodes count varints into dst's backing array, growing
-// it only when a larger block arrives than ever before.
+// it only when a larger block arrives than ever before. The varint read
+// is inlined so the value's name is only formatted on the error path.
 func decodeColumn(dst []int64, c *cursor, count int, what string) []int64 {
+	if c.err != nil {
+		return dst[:0]
+	}
 	if cap(dst) < count {
 		dst = make([]int64, count)
 	}
 	dst = dst[:count]
-	for i := 0; i < count; i++ {
-		dst[i] = c.varint(what + " column value")
-		if c.err != nil {
+	for i := range dst {
+		v, n := binary.Varint(c.p[c.off:])
+		if n <= 0 {
+			c.fail("reading %s column value at offset %d", what, c.off)
 			return dst[:0]
 		}
+		c.off += n
+		dst[i] = v
 	}
 	return dst
 }

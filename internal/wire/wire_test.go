@@ -153,6 +153,63 @@ func TestObserveDecodeReusesScratch(t *testing.T) {
 	}
 }
 
+// TestDecodeZeroAllocs pins the decode hot path of the two request
+// frames at zero allocations per frame with reused views: the field
+// names that go into error messages must only be formatted on failure.
+func TestDecodeZeroAllocs(t *testing.T) {
+	senders := make([]int64, 64)
+	sizes := make([]int64, 64)
+	for i := range senders {
+		senders[i] = int64(i % 18)
+		sizes[i] = int64(1024 << (i % 5))
+	}
+	observe := AppendObserve(nil, "bt.4", "r3/physical", "dpd", 17, senders, sizes)
+	var ov ObserveView
+	if err := ov.Decode(observe); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if err := ov.Decode(observe); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("ObserveView.Decode of a 64-event frame allocates %.2f objects, want 0", allocs)
+	}
+
+	predict := AppendPredict(nil, 9, "bt.4", "r3/physical", 5)
+	var pv PredictView
+	if allocs := testing.AllocsPerRun(200, func() {
+		if err := pv.Decode(predict); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("PredictView.Decode allocates %.2f objects, want 0", allocs)
+	}
+}
+
+// TestDecodeErrorNamesField pins the wording of the errors whose field
+// names are now formatted only on the error path.
+func TestDecodeErrorNamesField(t *testing.T) {
+	var ov ObserveView
+	for _, c := range []struct {
+		payload []byte
+		want    string
+	}{
+		{[]byte{FrameObserve, 0x80}, "reading tenant length at offset 1"},
+		{[]byte{FrameObserve, 0, 0, 0, 0, 1, 0x80, 0x80}, "reading sender column value at offset 6"},
+		{[]byte{FrameObserve, 0, 0, 0, 0, 1, 2, 0x80}, "reading size column value at offset 7"},
+	} {
+		err := ov.Decode(c.payload)
+		if err == nil || !strings.HasSuffix(err.Error(), c.want) {
+			t.Errorf("Decode(% x) = %v, want an error ending in %q", c.payload, err, c.want)
+		}
+	}
+	var pv PredictView
+	if err := pv.Decode([]byte{FramePredict, 1, 1, 'a', 0x80}); err == nil || !strings.HasSuffix(err.Error(), "reading stream length at offset 4") {
+		t.Errorf("PredictView.Decode = %v, want a stream length error", err)
+	}
+}
+
 func TestAckPredictErrorRoundTrip(t *testing.T) {
 	ord, dups, err := DecodeAck(AppendAck(nil, 42, 7))
 	if err != nil || ord != 42 || dups != 7 {
