@@ -1,8 +1,14 @@
 package mpipredict_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"log"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 
 	"mpipredict"
 )
@@ -166,4 +172,103 @@ func ExampleCompareStrategies() {
 	//   lastvalue
 	//   markov1(max-values=1024)
 	//   meta(experts=dpd+lastvalue+markov1 window=64 margin=3 horizons=5)
+}
+
+// Serve the predictor online, as cmd/mpipredictd does: observe a periodic
+// message stream over the HTTP API the way an MPI runtime reports its
+// receives, query multi-step forecasts, checkpoint the learned state and
+// warm-restart a second registry from the snapshot, which then predicts
+// without relearning. httptest recorders stand in for a socket.
+func ExampleNewServeServer() {
+	// A 6-rank halo exchange: the receiver hears from the same neighbours
+	// in the same order every iteration, alternating flag and block sizes.
+	senders := []int64{1, 2, 3, 1, 2, 3}
+	sizes := []int64{512, 512, 512, 65536, 65536, 65536}
+
+	registry := mpipredict.NewServeRegistry(mpipredict.ServeConfig{})
+	server := mpipredict.NewServeServer(registry)
+	call := func(method, url string, body []byte) []byte {
+		rec := httptest.NewRecorder()
+		server.ServeHTTP(rec, httptest.NewRequest(method, url, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			log.Fatalf("%s %s: %d %s", method, url, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+
+	// --- Observe: the runtime reports receives in batches of 60 events. ---
+	var reply []byte
+	for batch := 0; batch < 40; batch++ {
+		var events []mpipredict.ServeEvent
+		for round := 0; round < 10; round++ {
+			for i := range senders {
+				events = append(events, mpipredict.ServeEvent{Sender: senders[i], Size: sizes[i]})
+			}
+		}
+		body, err := json.Marshal(map[string]interface{}{
+			"tenant": "halo-app", "stream": "rank0/physical", "events": events,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		reply = call(http.MethodPost, "/v1/observe", body)
+	}
+	fmt.Printf("last observe reply: %s", reply)
+
+	// --- Predict: who sends the next 6 messages, and how many bytes? ---
+	var predicted struct {
+		Observed  int64                      `json:"observed"`
+		Forecasts []mpipredict.ServeForecast `json:"forecasts"`
+	}
+	if err := json.Unmarshal(call(http.MethodGet, "/v1/predict?tenant=halo-app&stream=rank0/physical&k=6", nil), &predicted); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("forecast after %d events:\n", predicted.Observed)
+	for _, f := range predicted.Forecasts {
+		fmt.Printf("  +%d: sender %d, %d bytes (ok=%v)\n", f.Ahead, f.Sender, f.Size, f.OK)
+	}
+
+	// --- Checkpoint every session's learned state to a snapshot file. ---
+	dir, err := os.MkdirTemp("", "serve-example-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "state.mps")
+	if err := mpipredict.SaveSessionSnapshots(path, registry.SnapshotSessions()); err != nil {
+		log.Fatal(err)
+	}
+
+	// --- Warm restart: a brand-new registry, primed from the snapshot. ---
+	sessions, err := mpipredict.LoadSessionSnapshots(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	restarted := mpipredict.NewServeRegistry(mpipredict.ServeConfig{})
+	if err := restarted.RestoreSessions(sessions); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("restored %d session(s) from %s\n", len(sessions), filepath.Base(path))
+	fc, _, ok := restarted.ForecastInto(nil, "halo-app", "rank0/physical", 3)
+	if !ok {
+		log.Fatal("restored registry lost the session")
+	}
+	fmt.Println("restarted registry forecasts at once:")
+	for _, f := range fc {
+		fmt.Printf("  +%d: sender %d, %d bytes (ok=%v)\n", f.Ahead, f.Sender, f.Size, f.OK)
+	}
+	// Output:
+	// last observe reply: {"observed":60,"session_observed":2400,"duplicate":false}
+	// forecast after 2400 events:
+	//   +1: sender 1, 512 bytes (ok=true)
+	//   +2: sender 2, 512 bytes (ok=true)
+	//   +3: sender 3, 512 bytes (ok=true)
+	//   +4: sender 1, 65536 bytes (ok=true)
+	//   +5: sender 2, 65536 bytes (ok=true)
+	//   +6: sender 3, 65536 bytes (ok=true)
+	// restored 1 session(s) from state.mps
+	// restarted registry forecasts at once:
+	//   +1: sender 1, 512 bytes (ok=true)
+	//   +2: sender 2, 512 bytes (ok=true)
+	//   +3: sender 3, 512 bytes (ok=true)
 }

@@ -111,7 +111,9 @@ func main() {
 	// daemon's checkpoint and restore each part to its owner.
 	single := mpipredict.NewServeRegistry(mpipredict.ServeConfig{})
 	for i := 0; i < 6; i++ {
-		single.Observe(fmt.Sprintf("legacy.%d", i), "r0/physical", mpipredict.ServeEvent{Sender: 1, Size: 256})
+		if _, _, err := single.ObserveBlockSeq(fmt.Sprintf("legacy.%d", i), "r0/physical", "", 0, []int64{1}, []int64{256}); err != nil {
+			log.Fatal(err)
+		}
 	}
 	counts, err := gw.RestoreToCluster(context.Background(), single.SnapshotSessions())
 	if err != nil {

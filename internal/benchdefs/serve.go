@@ -117,10 +117,11 @@ func serveWarmEvents() int {
 }
 
 // ObserveDirect feeds event i of the periodic stream straight into the
-// registry (the under-HTTP hot path).
+// registry as a one-event block (the under-HTTP hot path, 0 allocs).
 func (e *ServeBenchEnv) ObserveDirect(i int) {
 	v := int64(i % ServeBenchPeriod)
-	e.Registry.Observe("bench", "s", serve.Event{Sender: v, Size: 100 * v})
+	// A one-event block on the default strategy cannot be refused.
+	e.Registry.ObserveBlockSeq("bench", "s", "", 0, []int64{v}, []int64{100 * v})
 }
 
 // ObserveHTTP posts one single-event observe request through the handler.
@@ -138,8 +139,7 @@ func (e *ServeBenchEnv) ObserveBatchHTTP(int) error {
 }
 
 // ObserveBlockHTTP posts the 64-event batch in columnar form — the body
-// shape the block pipeline's replay ingester emits, landing on the
-// registry's ObserveBlock fast path.
+// shape the block pipeline's replay ingester emits.
 func (e *ServeBenchEnv) ObserveBlockHTTP(int) error {
 	return e.post(e.columnarBody)
 }
@@ -147,7 +147,7 @@ func (e *ServeBenchEnv) ObserveBlockHTTP(int) error {
 // ObserveBlockDirect feeds the 64-event columns straight into the
 // registry — the under-HTTP block fast path (0 allocs per block).
 func (e *ServeBenchEnv) ObserveBlockDirect(int) error {
-	_, err := e.Registry.ObserveBlock("bench", "s", e.blockSenders, e.blockSizes)
+	_, _, err := e.Registry.ObserveBlockSeq("bench", "s", "", 0, e.blockSenders, e.blockSizes)
 	return err
 }
 

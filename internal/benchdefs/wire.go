@@ -75,7 +75,10 @@ func NewWireBenchEnv() (*WireBenchEnv, error) {
 	}
 	for i := 0; i < serveWarmEvents(); i++ {
 		v := int64(i % ServeBenchPeriod)
-		reg.Observe("bench", "s", serve.Event{Sender: v, Size: 100 * v})
+		if _, _, err := reg.ObserveBlockSeq("bench", "s", "", 0, []int64{v}, []int64{100 * v}); err != nil {
+			ws.Close()
+			return nil, err
+		}
 	}
 
 	env.c, err = wire.Dial(env.ctx, ln.Addr().String(), wire.ClientOptions{})

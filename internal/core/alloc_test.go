@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -34,9 +35,7 @@ func TestDetectorObserveZeroAllocs(t *testing.T) {
 }
 
 // TestStreamPredictorObserveZeroAllocs pins the predictor's steady-state
-// cost on a stable stream: once locked, observing must never allocate
-// (locking itself allocates the pattern snapshot, but locks are rare and
-// excluded by the warm-up).
+// cost on a stable stream: once locked, observing must never allocate.
 func TestStreamPredictorObserveZeroAllocs(t *testing.T) {
 	p := NewStreamPredictor(DefaultConfig())
 	stream := periodicStream(4*p.cfg.WindowSize, 18)
@@ -79,6 +78,30 @@ func TestStreamPredictorLearningObserveZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("learning-state Observe allocates %.2f objects per call, want 0", allocs)
+	}
+}
+
+// TestStreamPredictorRelockZeroAllocs pins the relock path that noisy
+// streams take continually: an unlock keeps the pattern's array, so the
+// next lock's consensus vote writes into it instead of allocating.
+func TestStreamPredictorRelockZeroAllocs(t *testing.T) {
+	p := NewStreamPredictor(DefaultConfig())
+	for _, x := range periodicStream(4*p.cfg.WindowSize, 18) {
+		p.Observe(x)
+	}
+	if p.State() != Locked {
+		t.Fatal("predictor should be locked on a periodic stream after warm-up")
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		p.unlock()
+		p.lock(18)
+	})
+	want := consensusPattern(nil, p.det.win.Unwrap(), 18, map[int64]int{})
+	if allocs != 0 {
+		t.Errorf("unlock + relock allocates %.2f objects, want 0", allocs)
+	}
+	if got := p.Pattern(); !slices.Equal(got, want) {
+		t.Errorf("relocked pattern %v, want %v", got, want)
 	}
 }
 

@@ -162,7 +162,7 @@ func TestConsensusPatternMatchesReference(t *testing.T) {
 				win[i] = int64(r.Intn(3))
 			}
 		}
-		got, want := consensusPattern(win, period, scratch), refConsensusPattern(win, period)
+		got, want := consensusPattern(nil, win, period, scratch), refConsensusPattern(win, period)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("period %d, window %v: got %v, want %v", period, win, got, want)

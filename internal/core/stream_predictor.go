@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // LockState describes what the StreamPredictor is currently doing.
 type LockState int
 
@@ -208,7 +210,7 @@ func (p *StreamPredictor) lock(period int) {
 	if p.scratchCounts == nil {
 		p.scratchCounts = make(map[int64]int)
 	}
-	p.pattern = consensusPattern(win, period, p.scratchCounts)
+	p.pattern = consensusPattern(p.pattern, win, period, p.scratchCounts)
 	// The window ends at x[t]; the next observation x[t+1] corresponds to
 	// pattern phase (len(win)) mod period when the pattern is anchored at
 	// the start of the window.
@@ -223,7 +225,9 @@ func (p *StreamPredictor) lock(period int) {
 
 func (p *StreamPredictor) unlock() {
 	p.state = Learning
-	p.pattern = nil
+	// Keep the capacity for the next lock; every reader of the pattern
+	// checks the state first, and Pattern and Snapshot copy it out.
+	p.pattern = p.pattern[:0]
 	p.phase = 0
 	p.missStreak = 0
 	p.candidatePeriod = 0
@@ -353,9 +357,11 @@ func (p *StreamPredictor) PredictSetInto(dst []int64, count int) ([]int64, bool)
 // allocations instead of one per phase; the walk visits each window sample
 // twice in total (O(len(win))) rather than once per phase. A phase where
 // one value holds a strict majority — every phase of a clean window, and
-// most phases of a perturbed one — skips the counting map.
-func consensusPattern(win []int64, period int, scratch map[int64]int) []int64 {
-	pattern := make([]int64, period)
+// most phases of a perturbed one — skips the counting map. The pattern is
+// written into dst's capacity when it suffices, so a relock reuses the
+// previous pattern's array.
+func consensusPattern(dst, win []int64, period int, scratch map[int64]int) []int64 {
+	pattern := slices.Grow(dst[:0], period)[:period]
 	for ph := 0; ph < period; ph++ {
 		last := ph + ((len(win)-1-ph)/period)*period
 		if v, ok := phaseMajority(win, ph, last, period); ok {

@@ -289,7 +289,7 @@ func TestConsensusPatternMajorityVote(t *testing.T) {
 		1, 9, 3, 4, // corrupted second element
 		1, 2, 3, 4,
 	}
-	got := consensusPattern(win, 4, map[int64]int{})
+	got := consensusPattern(nil, win, 4, map[int64]int{})
 	want := []int64{1, 2, 3, 4}
 	for i := range want {
 		if got[i] != want[i] {
@@ -302,7 +302,7 @@ func TestConsensusPatternTieBreaksTowardRecent(t *testing.T) {
 	// Exactly two repetitions disagree at phase 1: values 7 (older) and 9
 	// (newer). The tie must go to the more recent value.
 	win := []int64{1, 7, 3, 1, 9, 3}
-	got := consensusPattern(win, 3, map[int64]int{})
+	got := consensusPattern(nil, win, 3, map[int64]int{})
 	if got[1] != 9 {
 		t.Fatalf("tie should prefer the most recent value, got %v", got)
 	}

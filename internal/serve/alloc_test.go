@@ -10,21 +10,24 @@ import (
 	"mpipredict/internal/core"
 )
 
-// TestRegistryObserveZeroAllocs pins the service hot path: observing one
-// event on an existing session — shard hash, LRU touch, two predictor
-// observes, counter bump — must not allocate. This is the single-event
-// steady state of a daemon under full load.
+// TestRegistryObserveZeroAllocs pins the service hot path: observing a
+// one-event block on an existing session — shard hash, LRU touch, two
+// predictor observes, counter bump — must not allocate. This is the
+// single-event steady state of a daemon under full load.
 func TestRegistryObserveZeroAllocs(t *testing.T) {
 	r := NewRegistry(Config{})
 	feedPeriodic(r, "tenant", "stream", 6, 4*core.DefaultConfig().WindowSize)
 
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.Observe("tenant", "stream", Event{Sender: int64(i % 6), Size: int64(100 * (i % 6))})
+		v := int64(i % 6)
+		if _, _, err := r.ObserveBlockSeq("tenant", "stream", "", 0, []int64{v}, []int64{100 * v}); err != nil {
+			t.Fatal(err)
+		}
 		i++
 	})
 	if allocs != 0 {
-		t.Errorf("Registry.Observe allocates %.2f objects per event, want 0", allocs)
+		t.Errorf("one-event ObserveBlockSeq allocates %.2f objects per event, want 0", allocs)
 	}
 }
 
@@ -34,59 +37,46 @@ func TestRegistryObserveLearningZeroAllocs(t *testing.T) {
 	r := NewRegistry(Config{})
 	var x int64
 	for i := 0; i < 4*core.DefaultConfig().WindowSize; i++ {
-		r.Observe("tenant", "stream", Event{Sender: x, Size: x})
+		observe(r, "tenant", "stream", "", Event{Sender: x, Size: x})
 		x++
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.Observe("tenant", "stream", Event{Sender: x, Size: x})
+		if _, _, err := r.ObserveBlockSeq("tenant", "stream", "", 0, []int64{x}, []int64{x}); err != nil {
+			t.Fatal(err)
+		}
 		x++
 	})
 	if allocs != 0 {
-		t.Errorf("learning-state Observe allocates %.2f objects per event, want 0", allocs)
-	}
-}
-
-// TestRegistryObserveBatchZeroAllocs pins the batched ingest path the
-// replay ingester drives.
-func TestRegistryObserveBatchZeroAllocs(t *testing.T) {
-	r := NewRegistry(Config{})
-	feedPeriodic(r, "tenant", "stream", 6, 4*core.DefaultConfig().WindowSize)
-	batch := make([]Event, 64)
-	for i := range batch {
-		batch[i] = Event{Sender: int64(i % 6), Size: int64(100 * (i % 6))}
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		r.ObserveBatch("tenant", "stream", batch)
-	})
-	if allocs != 0 {
-		t.Errorf("Registry.ObserveBatch allocates %.2f objects per batch, want 0", allocs)
+		t.Errorf("learning-state ObserveBlockSeq allocates %.2f objects per event, want 0", allocs)
 	}
 }
 
 // TestRegistryObserveBatchSeqZeroAllocs pins the idempotent ingest path:
 // the duplicate check is one integer compare under the shard lock, so
-// sequenced batches — applied or dropped as duplicates — must stay
-// allocation-free like the unsequenced path.
+// sequenced blocks — applied or dropped as duplicates — must stay
+// allocation-free like unsequenced ones.
 func TestRegistryObserveBatchSeqZeroAllocs(t *testing.T) {
 	r := NewRegistry(Config{})
 	feedPeriodic(r, "tenant", "stream", 6, 4*core.DefaultConfig().WindowSize)
-	batch := make([]Event, 64)
-	for i := range batch {
-		batch[i] = Event{Sender: int64(i % 6), Size: int64(100 * (i % 6))}
+	senders := make([]int64, 64)
+	sizes := make([]int64, 64)
+	for i := range senders {
+		senders[i] = int64(i % 6)
+		sizes[i] = int64(100 * (i % 6))
 	}
 	seq := int64(0)
 	allocs := testing.AllocsPerRun(200, func() {
 		seq++
-		if _, _, err := r.ObserveBatchSeq("tenant", "stream", "", seq, batch); err != nil {
+		if _, _, err := r.ObserveBlockSeq("tenant", "stream", "", seq, senders, sizes); err != nil {
 			t.Fatal(err)
 		}
 		// Duplicate delivery of the same seq: dropped without observing.
-		if _, dup, err := r.ObserveBatchSeq("tenant", "stream", "", seq, batch); err != nil || !dup {
+		if _, dup, err := r.ObserveBlockSeq("tenant", "stream", "", seq, senders, sizes); err != nil || !dup {
 			t.Fatalf("dup=%v err=%v", dup, err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("Registry.ObserveBatchSeq allocates %.2f objects per batch pair, want 0", allocs)
+		t.Errorf("sequenced ObserveBlockSeq allocates %.2f objects per block pair, want 0", allocs)
 	}
 }
 

@@ -56,7 +56,7 @@ func BenchmarkServePredict(b *testing.B) {
 
 // BenchmarkServeObserveBlock measures the columnar observe path: the
 // same 64 events as the batch bench, in the body shape the block
-// pipeline posts, landing on ObserveBlock.
+// pipeline posts, landing on ObserveBlockSeq.
 func BenchmarkServeObserveBlock(b *testing.B) {
 	env := benchdefs.NewServeBenchEnv()
 	b.ReportAllocs()

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -27,66 +28,37 @@ func TestRegistryObserveBlockZeroAllocs(t *testing.T) {
 		sizes[i] = int64(100 * (i % 6))
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := r.ObserveBlock("tenant", "stream", senders, sizes); err != nil {
+		if _, _, err := r.ObserveBlockSeq("tenant", "stream", "", 0, senders, sizes); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("Registry.ObserveBlock allocates %.2f objects per 64-event block, want 0", allocs)
-	}
-}
-
-// TestObserveBlockMatchesObserveBatch pins that the columnar path drives
-// sessions into the exact state the event-object path does: identical
-// snapshots after identical streams.
-func TestObserveBlockMatchesObserveBatch(t *testing.T) {
-	batchReg := NewRegistry(Config{})
-	blockReg := NewRegistry(Config{})
-	const n = 500
-	events := make([]Event, n)
-	senders := make([]int64, n)
-	sizes := make([]int64, n)
-	for i := 0; i < n; i++ {
-		events[i] = Event{Sender: int64(i % 9), Size: int64(64 * (i % 9))}
-		senders[i] = events[i].Sender
-		sizes[i] = events[i].Size
-	}
-	for i := 0; i < n; i += 64 {
-		end := i + 64
-		if end > n {
-			end = n
-		}
-		batchReg.ObserveBatch("t", "s", events[i:end])
-		if _, err := blockReg.ObserveBlock("t", "s", senders[i:end], sizes[i:end]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a, b := batchReg.SnapshotSessions(), blockReg.SnapshotSessions()
-	if !reflect.DeepEqual(a, b) {
-		t.Error("block-fed session snapshot differs from the batch-fed one")
+		t.Errorf("Registry.ObserveBlockSeq allocates %.2f objects per 64-event block, want 0", allocs)
 	}
 }
 
 func TestObserveBlockValidation(t *testing.T) {
 	r := NewRegistry(Config{})
-	if _, err := r.ObserveBlock("t", "s", []int64{1, 2}, []int64{1}); err == nil {
+	if _, _, err := r.ObserveBlockSeq("t", "s", "", 0, []int64{1, 2}, []int64{1}); err == nil {
 		t.Error("mismatched column lengths accepted")
 	}
-	// Empty block: probe semantics, like an empty batch.
-	if total, err := r.ObserveBlock("t", "s", nil, nil); err != nil || total != 0 {
-		t.Errorf("empty block on missing session: total=%d err=%v", total, err)
+	if _, _, err := r.ObserveBlockSeq("t", "s", "", 0, nil, nil); err == nil {
+		t.Error("empty block accepted")
 	}
-	if _, err := r.ObserveBlockAs("t", "s", "no-such-strategy", nil, nil); err == nil {
-		t.Error("unknown strategy accepted on an empty block")
+	if _, _, err := r.ObserveBlockSeq("t", "s", "no-such-strategy", 0, []int64{1}, []int64{2}); err == nil {
+		t.Error("unknown strategy accepted")
 	}
-	if _, err := r.ObserveBlock("t", "s", []int64{1}, []int64{2}); err != nil {
+	if r.Len() != 0 {
+		t.Fatal("a refused block created a session")
+	}
+	if _, _, err := r.ObserveBlockSeq("t", "s", "", 0, []int64{1}, []int64{2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ObserveBlockAs("t", "s", "markov1", []int64{1}, []int64{2}); err == nil {
-		t.Error("strategy mismatch on an existing session accepted")
+	if _, _, err := r.ObserveBlockSeq("t", "s", "markov1", 0, []int64{1}, []int64{2}); !errors.Is(err, ErrStrategyMismatch) {
+		t.Errorf("strategy mismatch on an existing session: got %v, want ErrStrategyMismatch", err)
 	}
-	if total, err := r.ObserveBlockAs("t", "s", "dpd", nil, nil); err != nil || total != 1 {
-		t.Errorf("matching empty probe: total=%d err=%v", total, err)
+	if total, _, err := r.ObserveBlockSeq("t", "s", "dpd", 0, []int64{3}, []int64{4}); err != nil || total != 2 {
+		t.Errorf("matching strategy: total=%d err=%v", total, err)
 	}
 }
 

@@ -50,7 +50,7 @@ func TestConcurrentSessionsMatchSerialRun(t *testing.T) {
 			defer wg.Done()
 			buf := make([]Forecast, 0, 8)
 			for i, ev := range streams[g] {
-				concurrent.Observe("load", name(g), ev)
+				observe(concurrent, "load", name(g), "", ev)
 				// Cross-session queries: hit a rotating neighbour so every
 				// session is being read while others write to its shard.
 				if i%7 == 0 {
@@ -66,7 +66,7 @@ func TestConcurrentSessionsMatchSerialRun(t *testing.T) {
 	serial := NewRegistry(cfg)
 	for g := 0; g < goroutines; g++ {
 		for _, ev := range streams[g] {
-			serial.Observe("load", name(g), ev)
+			observe(serial, "load", name(g), "", ev)
 		}
 	}
 
@@ -106,7 +106,7 @@ func TestConcurrentObserveBatchSharedShard(t *testing.T) {
 				for i := range events {
 					events[i] = Event{Sender: int64(i % 3), Size: int64(b)}
 				}
-				r.ObserveBatch("t", fmt.Sprintf("s%d", g), events)
+				observe(r, "t", fmt.Sprintf("s%d", g), "", events...)
 			}
 		}(g)
 	}
@@ -145,7 +145,7 @@ func TestConcurrentSweepAndObserve(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 5000; i++ {
-		r.Observe("t", "live", Event{Sender: int64(i % 3), Size: 1})
+		observe(r, "t", "live", "", Event{Sender: int64(i % 3), Size: 1})
 	}
 	close(stop)
 	wg.Wait()

@@ -20,11 +20,11 @@ func TestSessionMetaTelemetry(t *testing.T) {
 	reg := srv.Registry()
 	// A repeating-run stream: lastvalue-friendly, so rates separate.
 	for i := 0; i < 200; i++ {
-		if err := reg.ObserveAs("t", "s", strategy.MetaName, Event{Sender: int64(i / 10 % 7), Size: 512}); err != nil {
+		if _, err := observe(reg, "t", "s", strategy.MetaName, Event{Sender: int64(i / 10 % 7), Size: 512}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	reg.Observe("t", "plain", Event{Sender: 1, Size: 1}) // non-meta control
+	observe(reg, "t", "plain", "", Event{Sender: 1, Size: 1}) // non-meta control
 
 	info, ok := reg.Info("t", "s")
 	if !ok || info.Meta == nil {
@@ -118,7 +118,7 @@ func TestMetaTelemetryConcurrentScrape(t *testing.T) {
 			stream := fmt.Sprintf("s%d", g)
 			buf := make([]Forecast, 0, 5)
 			for i := 0; i < rounds; i++ {
-				reg.Observe("t", stream, Event{Sender: int64(i % (g + 2)), Size: int64(g)})
+				observe(reg, "t", stream, "", Event{Sender: int64(i % (g + 2)), Size: int64(g)})
 				buf, _, _ = reg.ForecastInto(buf[:0], "t", stream, 5)
 			}
 		}(g)

@@ -81,13 +81,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Event is one observed message: who sent it and how many bytes it
-// carried. It is the unit of the observe API.
-type Event struct {
-	Sender int64 `json:"sender"`
-	Size   int64 `json:"size"`
-}
-
 // Forecast is the joint prediction for one future message of a session.
 // Unlike scalability.MessageForecast it carries per-stream ok flags, so a
 // client scoring only sender accuracy (the paper's Figures 3/4 protocol)
@@ -331,126 +324,27 @@ func keyLess(t1, s1, t2, s2 string) bool {
 	return s1 < s2
 }
 
-// Observe feeds one event to the (tenant, stream) session, creating it
-// with the registry's default strategy on first use. This is the service
-// hot path: for an existing session it performs zero heap allocations.
-func (r *Registry) Observe(tenant, stream string, ev Event) {
-	// The default strategy is validated at construction and "" never
-	// mismatches, so the error is impossible here.
-	r.ObserveAs(tenant, stream, "", ev)
-}
-
-// ObserveAs is Observe with an explicit strategy: a new session is created
-// with the strat strategy (empty selects the registry default), and an
-// existing session rejects a non-empty strat that differs from its own
-// (ErrStrategyMismatch) or an unknown name.
-func (r *Registry) ObserveAs(tenant, stream, strat string, ev Event) error {
-	sh := r.shardFor(tenant, stream)
-	sh.mu.Lock()
-	s, err := r.getLocked(sh, tenant, stream, strat)
-	if err != nil {
-		sh.mu.Unlock()
-		return err
-	}
-	s.sender.Observe(ev.Sender)
-	s.size.Observe(ev.Size)
-	s.observed++
-	s.lastSeen = r.cfg.Clock()
-	sh.mu.Unlock()
-	r.events.Add(1)
-	return nil
-}
-
-// ObserveBatch feeds a batch of events under a single shard lock and
-// returns the session's total observed count afterwards.
-func (r *Registry) ObserveBatch(tenant, stream string, events []Event) int64 {
-	total, _ := r.ObserveBatchAs(tenant, stream, "", events)
-	return total
-}
-
-// ObserveBatchAs is ObserveBatch with an explicit strategy, following the
-// same creation/mismatch rules as ObserveAs. No event is observed when the
-// strategy is rejected. An empty batch creates no session but still
-// applies the name and mismatch validation, so a caller probing with zero
-// events learns the same verdict a real batch would get.
-func (r *Registry) ObserveBatchAs(tenant, stream, strat string, events []Event) (int64, error) {
-	total, _, err := r.ObserveBatchSeq(tenant, stream, strat, 0, events)
-	return total, err
-}
-
-// ObserveBatchSeq is ObserveBatchAs with an at-least-once delivery guard:
-// a positive seq marks the batch as one delivery of a per-(tenant,
-// stream) monotonically increasing sequence, and a batch whose seq is at
-// or below the session's last applied one is dropped as a duplicate
-// (duplicate true, no events observed, current total returned). Seq zero
-// disables the check — the batch always applies and the session's
-// sequence state is untouched, so unsequenced and sequenced clients can
-// share a registry (though not meaningfully a session).
-func (r *Registry) ObserveBatchSeq(tenant, stream, strat string, seq int64, events []Event) (total int64, duplicate bool, err error) {
-	if len(events) == 0 {
-		total, err = r.probeSession(tenant, stream, strat)
-		return total, false, err
-	}
-	sh := r.shardFor(tenant, stream)
-	sh.mu.Lock()
-	s, err := r.getLocked(sh, tenant, stream, strat)
-	if err != nil {
-		sh.mu.Unlock()
-		return 0, false, err
-	}
-	if seq > 0 && seq <= s.lastSeq {
-		total = s.observed
-		sh.mu.Unlock()
-		r.dupBatches.Add(1)
-		return total, true, nil
-	}
-	for _, ev := range events {
-		s.sender.Observe(ev.Sender)
-		s.size.Observe(ev.Size)
-	}
-	s.observed += int64(len(events))
-	if seq > 0 {
-		s.lastSeq = seq
-	}
-	s.lastSeen = r.cfg.Clock()
-	total = s.observed
-	sh.mu.Unlock()
-	r.events.Add(int64(len(events)))
-	return total, false, nil
-}
-
-// ObserveBlock feeds a column pair — parallel sender and size arrays, the
-// layout of one stream.EventBlock — to the (tenant, stream) session under
-// a single shard lock. It is the block-pipeline fast path: serve.Replay
-// and the columnar observe handler land here, and for an existing session
-// it performs zero heap allocations regardless of the column length
-// (pinned by alloc_test.go). The slices are only read.
-func (r *Registry) ObserveBlock(tenant, stream string, senders, sizes []int64) (int64, error) {
-	return r.ObserveBlockAs(tenant, stream, "", senders, sizes)
-}
-
-// ObserveBlockAs is ObserveBlock with an explicit strategy, following the
-// same creation/mismatch rules as ObserveAs. The columns must be of equal
-// length; no event is observed otherwise. An empty pair behaves like an
-// empty ObserveBatchAs: no session is created, but the name and mismatch
-// validation still applies.
-func (r *Registry) ObserveBlockAs(tenant, stream, strat string, senders, sizes []int64) (int64, error) {
-	total, _, err := r.ObserveBlockSeq(tenant, stream, strat, 0, senders, sizes)
-	return total, err
-}
-
-// ObserveBlockSeq is ObserveBlockAs with the at-least-once delivery guard
-// of ObserveBatchSeq: a positive seq at or below the session's last
-// applied one drops the whole block as a duplicate delivery. It remains
-// the zero-allocation block fast path — the sequence check is one compare
-// under the shard lock (pinned by alloc_test.go).
+// ObserveBlockSeq is the registry's one ingest method. It feeds a column
+// pair — parallel sender and size arrays, the layout of one
+// stream.EventBlock — to the (tenant, stream) session under a single shard
+// lock and returns the session's observed total afterwards. Both listeners
+// and the replay ingesters land here, and for an existing session it
+// performs zero heap allocations whatever the column length (pinned by
+// alloc_test.go). The slices are only read; they must be non-empty and of
+// equal length, and nothing is observed otherwise.
+//
+// A new session is created with the strat strategy (empty selects the
+// registry default). An existing session refuses a non-empty strat that
+// differs from its own with ErrStrategyMismatch. A positive seq marks the
+// block as one delivery of a per-session increasing sequence: a seq at or
+// below the session's last applied one drops the block as a duplicate
+// (duplicate true, nothing observed, current total returned), which turns
+// at-least-once retries into effectively-once learning. Seq zero is
+// unsequenced: the block always applies and the session's sequence state
+// is untouched.
 func (r *Registry) ObserveBlockSeq(tenant, stream, strat string, seq int64, senders, sizes []int64) (total int64, duplicate bool, err error) {
-	if len(senders) != len(sizes) {
-		return 0, false, fmt.Errorf("serve: observe block columns disagree: %d senders, %d sizes", len(senders), len(sizes))
-	}
-	if len(senders) == 0 {
-		total, err = r.probeSession(tenant, stream, strat)
-		return total, false, err
+	if len(senders) == 0 || len(senders) != len(sizes) {
+		return 0, false, fmt.Errorf("serve: observe block needs equal non-empty columns, got %d senders and %d sizes", len(senders), len(sizes))
 	}
 	sh := r.shardFor(tenant, stream)
 	sh.mu.Lock()
@@ -478,29 +372,6 @@ func (r *Registry) ObserveBlockSeq(tenant, stream, strat string, seq int64, send
 	sh.mu.Unlock()
 	r.events.Add(int64(len(senders)))
 	return total, false, nil
-}
-
-// probeSession applies the strategy name and mismatch validation of an
-// empty batch without creating a session, returning the session's current
-// observed count (zero when it does not exist). Shared by the empty cases
-// of ObserveBatchAs and ObserveBlockAs, so a caller probing with zero
-// events learns the same verdict a real batch would get.
-func (r *Registry) probeSession(tenant, stream, strat string) (int64, error) {
-	if strat != "" && !strategy.Known(strat) {
-		return 0, fmt.Errorf("serve: unknown strategy %q (known: %v)", strat, strategy.Names())
-	}
-	sh := r.shardFor(tenant, stream)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s := sh.sessions[sessionKey{tenant, stream}]
-	if s == nil {
-		return 0, nil
-	}
-	if strat != "" && strat != s.strategy {
-		return 0, fmt.Errorf("%w: session %s/%s uses %q, request asked for %q",
-			ErrStrategyMismatch, tenant, stream, s.strategy, strat)
-	}
-	return s.observed, nil
 }
 
 // ForecastInto appends forecasts for the next k messages of the session to
@@ -791,7 +662,8 @@ func (r *Registry) RestoreSessions(snaps []SessionSnapshot) error {
 	for _, snap := range snaps {
 		// Normalize a hand-constructed snapshot's empty strategy to the
 		// name it restores as: storing "" would make the session
-		// unmatchable by ObserveAs and the next checkpoint unwritable.
+		// unmatchable by a named observe and the next checkpoint
+		// unwritable.
 		strat := snap.Strategy
 		if strat == "" {
 			strat = strategy.Default

@@ -29,8 +29,20 @@ func (c *testClock) Advance(d time.Duration) { c.now = c.now.Add(d) }
 // both predictors to lock.
 func feedPeriodic(r *Registry, tenant, stream string, period, n int) {
 	for i := 0; i < n; i++ {
-		r.Observe(tenant, stream, Event{Sender: int64(i % period), Size: int64(100 * (i % period))})
+		observe(r, tenant, stream, "", Event{Sender: int64(i % period), Size: int64(100 * (i % period))})
 	}
+}
+
+// observe feeds events to a session through the registry's one ingest
+// method, unsequenced, and returns the session's observed total.
+func observe(r *Registry, tenant, stream, strat string, events ...Event) (int64, error) {
+	senders := make([]int64, len(events))
+	sizes := make([]int64, len(events))
+	for i, ev := range events {
+		senders[i], sizes[i] = ev.Sender, ev.Size
+	}
+	total, _, err := r.ObserveBlockSeq(tenant, stream, strat, 0, senders, sizes)
+	return total, err
 }
 
 func TestRegistryObserveThenForecast(t *testing.T) {
@@ -86,7 +98,7 @@ func TestRegistryMatchesBarePredictor(t *testing.T) {
 		stream = append(stream, Event{Sender: int64(i % 7), Size: int64(i % 3)})
 	}
 	for _, ev := range stream {
-		r.Observe("t", "s", ev)
+		observe(r, "t", "s", "", ev)
 		sender.Observe(ev.Sender)
 		size.Observe(ev.Size)
 	}
@@ -104,68 +116,10 @@ func TestRegistryMatchesBarePredictor(t *testing.T) {
 	}
 }
 
-func TestRegistryObserveBatchEquivalentToSingles(t *testing.T) {
-	a := NewRegistry(Config{})
-	b := NewRegistry(Config{})
-	events := make([]Event, 500)
-	for i := range events {
-		events[i] = Event{Sender: int64(i % 4), Size: int64(i % 9)}
-	}
-	for _, ev := range events {
-		a.Observe("t", "s", ev)
-	}
-	total := b.ObserveBatch("t", "s", events)
-	if total != int64(len(events)) {
-		t.Fatalf("batch total = %d, want %d", total, len(events))
-	}
-	fa, _, _ := a.ForecastInto(nil, "t", "s", 5)
-	fb, _, _ := b.ForecastInto(nil, "t", "s", 5)
-	for i := range fa {
-		if fa[i] != fb[i] {
-			t.Fatalf("forecast %d differs: single %+v vs batch %+v", i, fa[i], fb[i])
-		}
-	}
-}
-
-// TestRegistryObserveBatchSeqDropsDuplicates pins the idempotency
-// contract the reliable replay client depends on: replaying the same
-// sequenced batch twice applies it exactly once, so a retry of a request
-// whose response was lost cannot double-count events.
-func TestRegistryObserveBatchSeqDropsDuplicates(t *testing.T) {
-	r := NewRegistry(Config{})
-	clean := NewRegistry(Config{})
-	batch := []Event{{Sender: 1, Size: 10}, {Sender: 2, Size: 20}, {Sender: 3, Size: 30}}
-
-	total, dup, err := r.ObserveBatchSeq("t", "s", "", 1, batch)
-	if err != nil || dup || total != 3 {
-		t.Fatalf("first delivery: total=%d dup=%v err=%v", total, dup, err)
-	}
-	// Second delivery of the same batch: dropped, total unchanged.
-	total, dup, err = r.ObserveBatchSeq("t", "s", "", 1, batch)
-	if err != nil || !dup || total != 3 {
-		t.Fatalf("duplicate delivery: total=%d dup=%v err=%v", total, dup, err)
-	}
-	// Stale seq below the watermark is a duplicate too.
-	if _, dup, _ = r.ObserveBatchSeq("t", "s", "", 0x0, batch[:1]); dup {
-		t.Fatal("unsequenced batch (seq 0) was treated as a duplicate")
-	}
-	clean.ObserveBatch("t", "s", batch)
-	clean.ObserveBatch("t", "s", batch[:1])
-	fa, _, _ := r.ForecastInto(nil, "t", "s", 4)
-	fb, _, _ := clean.ForecastInto(nil, "t", "s", 4)
-	if !reflect.DeepEqual(fa, fb) {
-		t.Fatalf("duplicate-dropped registry diverged from effectively-once delivery:\n got %+v\nwant %+v", fa, fb)
-	}
-	if got := r.Stats().DupBatches; got != 1 {
-		t.Fatalf("DupBatches = %d, want 1", got)
-	}
-	if info, ok := r.Info("t", "s"); !ok || info.LastSeq != 1 {
-		t.Fatalf("Info = %+v ok=%v, want LastSeq 1", info, ok)
-	}
-}
-
-// TestRegistryObserveBlockSeqDropsDuplicates covers the columnar twin of
-// the sequenced batch path.
+// TestRegistryObserveBlockSeqDropsDuplicates pins the idempotency
+// contract the reliable replay clients depend on: delivering the same
+// sequenced block twice applies it once, so a retry of a request whose
+// response was lost cannot double-count events.
 func TestRegistryObserveBlockSeqDropsDuplicates(t *testing.T) {
 	r := NewRegistry(Config{})
 	senders := []int64{1, 2, 3, 1}
@@ -183,13 +137,33 @@ func TestRegistryObserveBlockSeqDropsDuplicates(t *testing.T) {
 	if _, dup, _ = r.ObserveBlockSeq("t", "s", "", 3, senders, sizes); !dup {
 		t.Fatal("stale seq 3 below watermark 5 was applied")
 	}
+	// Seq zero is unsequenced: applied, never a duplicate.
+	if _, dup, _ = r.ObserveBlockSeq("t", "s", "", 0, senders[:1], sizes[:1]); dup {
+		t.Fatal("unsequenced block (seq 0) was treated as a duplicate")
+	}
 	// The next monotonic seq is applied.
 	total, dup, err = r.ObserveBlockSeq("t", "s", "", 6, senders[:1], sizes[:1])
-	if err != nil || dup || total != 5 {
+	if err != nil || dup || total != 6 {
 		t.Fatalf("next seq: total=%d dup=%v err=%v", total, dup, err)
 	}
 	if got := r.Stats().DupBatches; got != 2 {
 		t.Fatalf("DupBatches = %d, want 2", got)
+	}
+	if info, ok := r.Info("t", "s"); !ok || info.LastSeq != 6 {
+		t.Fatalf("Info = %+v ok=%v, want LastSeq 6", info, ok)
+	}
+	// The dropped deliveries left no trace: the session forecasts like one
+	// fed each applied block exactly once.
+	clean := NewRegistry(Config{})
+	for _, n := range []int{4, 1, 1} {
+		if _, _, err := clean.ObserveBlockSeq("t", "s", "", 0, senders[:n], sizes[:n]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fa, _, _ := r.ForecastInto(nil, "t", "s", 4)
+	fb, _, _ := clean.ForecastInto(nil, "t", "s", 4)
+	if !reflect.DeepEqual(fa, fb) {
+		t.Fatalf("duplicate-dropped registry diverged from effectively-once delivery:\n got %+v\nwant %+v", fa, fb)
 	}
 }
 
@@ -198,11 +172,11 @@ func TestRegistryLRUEviction(t *testing.T) {
 	// least recently used.
 	r := NewRegistry(Config{Shards: 1, MaxSessions: 4})
 	for i := 0; i < 4; i++ {
-		r.Observe("t", fmt.Sprintf("s%d", i), Event{Sender: 1, Size: 1})
+		observe(r, "t", fmt.Sprintf("s%d", i), "", Event{Sender: 1, Size: 1})
 	}
 	// Touch s0 so s1 becomes the LRU.
-	r.Observe("t", "s0", Event{Sender: 1, Size: 1})
-	r.Observe("t", "s4", Event{Sender: 1, Size: 1})
+	observe(r, "t", "s0", "", Event{Sender: 1, Size: 1})
+	observe(r, "t", "s4", "", Event{Sender: 1, Size: 1})
 	if r.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", r.Len())
 	}
@@ -221,13 +195,13 @@ func TestRegistryLRUEviction(t *testing.T) {
 
 func TestRegistryForecastCountsAsActivity(t *testing.T) {
 	r := NewRegistry(Config{Shards: 1, MaxSessions: 2})
-	r.Observe("t", "a", Event{Sender: 1, Size: 1})
-	r.Observe("t", "b", Event{Sender: 1, Size: 1})
+	observe(r, "t", "a", "", Event{Sender: 1, Size: 1})
+	observe(r, "t", "b", "", Event{Sender: 1, Size: 1})
 	// Query a: b becomes the LRU and is the one evicted by c.
 	if _, _, ok := r.ForecastInto(nil, "t", "a", 1); !ok {
 		t.Fatal("session a missing")
 	}
-	r.Observe("t", "c", Event{Sender: 1, Size: 1})
+	observe(r, "t", "c", "", Event{Sender: 1, Size: 1})
 	if _, ok := r.Info("t", "a"); !ok {
 		t.Fatal("recently queried session a was evicted")
 	}
@@ -239,9 +213,9 @@ func TestRegistryForecastCountsAsActivity(t *testing.T) {
 func TestRegistryIdleSweep(t *testing.T) {
 	clock := newTestClock()
 	r := NewRegistry(Config{IdleTTL: time.Minute, Clock: clock.Now})
-	r.Observe("t", "old", Event{Sender: 1, Size: 1})
+	observe(r, "t", "old", "", Event{Sender: 1, Size: 1})
 	clock.Advance(45 * time.Second)
-	r.Observe("t", "fresh", Event{Sender: 1, Size: 1})
+	observe(r, "t", "fresh", "", Event{Sender: 1, Size: 1})
 	clock.Advance(30 * time.Second) // old is 75s idle, fresh 30s
 
 	if evicted := r.SweepIdle(); evicted != 1 {
@@ -261,7 +235,7 @@ func TestRegistryIdleSweep(t *testing.T) {
 func TestRegistryIdleSweepDisabled(t *testing.T) {
 	clock := newTestClock()
 	r := NewRegistry(Config{IdleTTL: -1, Clock: clock.Now})
-	r.Observe("t", "s", Event{Sender: 1, Size: 1})
+	observe(r, "t", "s", "", Event{Sender: 1, Size: 1})
 	clock.Advance(24 * time.Hour)
 	if evicted := r.SweepIdle(); evicted != 0 {
 		t.Fatalf("disabled sweep evicted %d sessions", evicted)
@@ -299,8 +273,8 @@ func TestRegistrySessionsSortedAndComplete(t *testing.T) {
 
 func TestRegistryStatsCounters(t *testing.T) {
 	r := NewRegistry(Config{})
-	r.Observe("t", "s", Event{Sender: 1, Size: 1})
-	r.ObserveBatch("t", "s", []Event{{Sender: 2, Size: 2}, {Sender: 3, Size: 3}})
+	observe(r, "t", "s", "", Event{Sender: 1, Size: 1})
+	observe(r, "t", "s", "", []Event{{Sender: 2, Size: 2}, {Sender: 3, Size: 3}}...)
 	r.ForecastInto(nil, "t", "s", 5)
 	r.ForecastInto(nil, "t", "missing", 5)
 
@@ -316,7 +290,7 @@ func TestRegistryShardDistribution(t *testing.T) {
 	// evict, which Len would reveal.
 	r := NewRegistry(Config{Shards: 64, MaxSessions: 4096})
 	for i := 0; i < 1024; i++ {
-		r.Observe("tenant", fmt.Sprintf("stream-%d", i), Event{Sender: 1, Size: 1})
+		observe(r, "tenant", fmt.Sprintf("stream-%d", i), "", Event{Sender: 1, Size: 1})
 	}
 	if r.Len() != 1024 {
 		t.Fatalf("Len = %d, want 1024 (hash clustering caused evictions)", r.Len())
@@ -394,7 +368,7 @@ func TestRegistryRestoreNormalizesEmptyStrategy(t *testing.T) {
 	if got := fresh.Sessions()[0].Strategy; got != strategy.Default {
 		t.Fatalf("restored strategy %q, want %q", got, strategy.Default)
 	}
-	if err := fresh.ObserveAs("t", "s", "dpd", Event{Sender: 1, Size: 1}); err != nil {
+	if _, err := observe(fresh, "t", "s", "dpd", Event{Sender: 1, Size: 1}); err != nil {
 		t.Fatalf("restored session rejects its own strategy: %v", err)
 	}
 	if err := WriteSnapshot(&bytes.Buffer{}, fresh.SnapshotSessions()); err != nil {
@@ -423,7 +397,7 @@ func TestRegistryRestoreRejectsUnknownStrategy(t *testing.T) {
 func TestRegistrySmallMaxSessionsBoundIsExact(t *testing.T) {
 	r := NewRegistry(Config{MaxSessions: 10}) // default 64 shards would allow 64
 	for i := 0; i < 100; i++ {
-		r.Observe("t", fmt.Sprintf("s%d", i), Event{Sender: 1, Size: 1})
+		observe(r, "t", fmt.Sprintf("s%d", i), "", Event{Sender: 1, Size: 1})
 	}
 	if got := r.Len(); got > 10 {
 		t.Fatalf("registry holds %d sessions, MaxSessions is 10", got)
@@ -434,7 +408,7 @@ func TestRegistryObserveAsCreatesStrategySessions(t *testing.T) {
 	r := NewRegistry(Config{})
 	// lastvalue: every horizon predicts the last observation.
 	for i := 0; i < 10; i++ {
-		if err := r.ObserveAs("t", "lv", "lastvalue", Event{Sender: int64(i), Size: int64(2 * i)}); err != nil {
+		if _, err := observe(r, "t", "lv", "lastvalue", Event{Sender: int64(i), Size: int64(2 * i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -459,45 +433,29 @@ func TestRegistryObserveAsCreatesStrategySessions(t *testing.T) {
 
 func TestRegistryObserveAsStrategyMismatch(t *testing.T) {
 	r := NewRegistry(Config{})
-	if err := r.ObserveAs("t", "s", "markov1", Event{Sender: 1, Size: 1}); err != nil {
+	if _, err := observe(r, "t", "s", "markov1", Event{Sender: 1, Size: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// Omitting the strategy keeps addressing the session.
-	r.Observe("t", "s", Event{Sender: 2, Size: 2})
-	if _, err := r.ObserveBatchAs("t", "s", "markov1", []Event{{Sender: 3, Size: 3}}); err != nil {
+	observe(r, "t", "s", "", Event{Sender: 2, Size: 2})
+	if _, err := observe(r, "t", "s", "markov1", Event{Sender: 3, Size: 3}); err != nil {
 		t.Fatalf("matching strategy rejected: %v", err)
 	}
-	err := r.ObserveAs("t", "s", "dpd", Event{Sender: 4, Size: 4})
+	_, err := observe(r, "t", "s", "dpd", Event{Sender: 4, Size: 4})
 	if !errors.Is(err, ErrStrategyMismatch) {
 		t.Fatalf("conflicting strategy: got %v, want ErrStrategyMismatch", err)
 	}
-	if err := r.ObserveAs("t", "s", "no-such", Event{Sender: 5, Size: 5}); err == nil {
+	if _, err := observe(r, "t", "s", "no-such", Event{Sender: 5, Size: 5}); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
 	if got := r.Sessions()[0].Observed; got != 3 {
 		t.Fatalf("observed = %d, want 3 (rejected observes must not count)", got)
 	}
-	// An empty batch applies the same validation without creating state.
-	if total, err := r.ObserveBatchAs("t", "s", "markov1", nil); err != nil || total != 3 {
-		t.Fatalf("empty matching batch = (%d, %v), want (3, nil)", total, err)
-	}
-	if _, err := r.ObserveBatchAs("t", "s", "dpd", nil); !errors.Is(err, ErrStrategyMismatch) {
-		t.Fatalf("empty conflicting batch: got %v, want ErrStrategyMismatch", err)
-	}
-	if _, err := r.ObserveBatchAs("t", "s", "no-such", nil); err == nil {
-		t.Fatal("empty batch accepted an unknown strategy")
-	}
-	if total, err := r.ObserveBatchAs("t", "absent", "markov1", nil); err != nil || total != 0 {
-		t.Fatalf("empty batch on absent session = (%d, %v), want (0, nil)", total, err)
-	}
-	if r.Len() != 1 {
-		t.Fatal("empty batch created a session")
-	}
 }
 
 func TestRegistryDefaultStrategyConfig(t *testing.T) {
 	r := NewRegistry(Config{Strategy: "markov1"})
-	r.Observe("t", "s", Event{Sender: 1, Size: 1})
+	observe(r, "t", "s", "", Event{Sender: 1, Size: 1})
 	if got := r.Sessions()[0].Strategy; got != "markov1" {
 		t.Fatalf("default-strategy session reports %q, want markov1", got)
 	}
@@ -518,9 +476,9 @@ func TestRegistrySessionTimestamps(t *testing.T) {
 	clock := newTestClock()
 	r := NewRegistry(Config{Clock: clock.Now})
 	created := clock.Now()
-	r.Observe("t", "s", Event{Sender: 1, Size: 1})
+	observe(r, "t", "s", "", Event{Sender: 1, Size: 1})
 	clock.Advance(90 * time.Second)
-	r.Observe("t", "s", Event{Sender: 2, Size: 2})
+	observe(r, "t", "s", "", Event{Sender: 2, Size: 2})
 	clock.Advance(30 * time.Second)
 
 	info := r.Sessions()[0]
@@ -545,7 +503,7 @@ func TestRegistryHeterogeneousStrategiesConcurrent(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		for _, name := range names {
 			ev := Event{Sender: int64(i % 7), Size: int64(100 * (i % 7))}
-			if err := r.ObserveAs("mix", name, name, ev); err != nil {
+			if _, err := observe(r, "mix", name, name, ev); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -11,7 +11,7 @@ package serve
 // The ingester is block-based end to end: events arrive in columnar
 // EventBlocks, are bucketed per (receiver, level) session into columnar
 // batch buffers, and leave as columnar observe requests that land on the
-// registry's ObserveBlock fast path. Memory is bounded by sessions ×
+// registry's one ingest method, ObserveBlockSeq. Memory is bounded by sessions ×
 // batch size — independent of the trace length — so a trace far larger
 // than RAM replays in one pass.
 //

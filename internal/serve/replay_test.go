@@ -85,8 +85,8 @@ func TestReplayedSessionMatchesOfflinePredictorState(t *testing.T) {
 		offline := NewRegistry(Config{})
 		senders := tr.SenderStreamShared(receiver, level)
 		sizes := tr.SizeStreamShared(receiver, level)
-		for i := range senders {
-			offline.Observe("x", "y", Event{Sender: senders[i], Size: sizes[i]})
+		if _, _, err := offline.ObserveBlockSeq("x", "y", "", 0, senders, sizes); err != nil {
+			t.Fatal(err)
 		}
 		want := offline.SnapshotSessions()[0]
 		served, ok := snapshotFor(srv.Registry(), DefaultTenant(tr), StreamName(receiver, level))
@@ -150,7 +150,7 @@ func TestReplayMatchesEvalxAccuracyOverHTTP(t *testing.T) {
 				hits[k-1]++
 			}
 		}
-		reg.Observe("t", "s", Event{Sender: senders[i], Size: sizes[i]})
+		observe(reg, "t", "s", "", Event{Sender: senders[i], Size: sizes[i]})
 	}
 	for k := 0; k < 5; k++ {
 		if hits[k] != offline.Hits[k] || total[k] != offline.Total[k] {

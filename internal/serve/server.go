@@ -3,6 +3,7 @@ package serve
 // The HTTP/JSON face of the registry. Routes:
 //
 //	POST /v1/observe      {"tenant","stream","events":[{"sender","size"},...]}
+//	                      or {"tenant","stream","senders":[...],"sizes":[...]}
 //	GET  /v1/predict      ?tenant=&stream=&k=   (k defaults to 5, the paper's horizon)
 //	GET  /v1/sessions     list every live session
 //	GET  /healthz         liveness + session count
@@ -76,8 +77,43 @@ const MaxSessionsLimit = 10000
 // would poison checkpointing for all sessions, not just its own.
 const MaxKeyLen = 256
 
-// validKey reports whether a tenant or stream name is acceptable.
-func validKey(s string) bool { return s != "" && len(s) <= MaxKeyLen }
+// refusal classifies why an observe is turned away. Both listeners run
+// the one rule set, checkObserve, and map its class through their own
+// table — observeStatus here, observeCode on the wire — so a request the
+// HTTP surface refuses is refused on the wire with the matching code by
+// construction.
+type refusal uint8
+
+const (
+	notRefused      refusal = iota
+	refusedBad              // malformed: keys, events, seq or predictor
+	refusedConflict         // the session was created with another strategy
+)
+
+// observeStatus maps a refusal class to its HTTP status.
+var observeStatus = [...]int{refusedBad: http.StatusBadRequest, refusedConflict: http.StatusConflict}
+
+// checkObserve applies the observe refusal rules: tenant and stream
+// non-empty and at most MaxKeyLen bytes, at least one event, a
+// non-negative seq and, when named, a registered predictor. It is generic
+// over the key type so the wire listener checks its decoded byte views
+// before interning them, keeping validation ahead of any allocation. The
+// one refusal it cannot see, a strategy conflict with an existing
+// session, comes from the registry as ErrStrategyMismatch and maps to
+// refusedConflict.
+func checkObserve[K string | []byte](tenant, stream, predictor K, seq int64, events int) (refusal, string) {
+	switch {
+	case len(tenant) == 0 || len(tenant) > MaxKeyLen || len(stream) == 0 || len(stream) > MaxKeyLen:
+		return refusedBad, fmt.Sprintf("tenant and stream are required and at most %d bytes", MaxKeyLen)
+	case events == 0:
+		return refusedBad, "events must not be empty"
+	case seq < 0:
+		return refusedBad, "seq must be non-negative"
+	case len(predictor) > 0 && !strategy.Known(string(predictor)):
+		return refusedBad, fmt.Sprintf("unknown predictor %q (known: %v)", predictor, strategy.Names())
+	}
+	return notRefused, ""
+}
 
 // DefaultMaxInFlight is the in-flight request bound when
 // ServerOptions.MaxInFlight is zero. Requests beyond it are rejected
@@ -149,8 +185,10 @@ type Server struct {
 // Events may be given in one of two shapes, not both: the object form
 // ("events": [{"sender","size"},...]) or the columnar form ("senders"
 // and "sizes" as parallel arrays). The columnar form is what the block
-// pipeline emits (stream.EventBlock is columnar end to end) and lands on
-// the registry's ObserveBlock fast path; the replay ingester uses it.
+// pipeline emits (stream.EventBlock is columnar end to end); the replay
+// ingester uses it. The handler copies an object-form body into the
+// pooled columns, so both shapes reach the registry through the one
+// ingest method, ObserveBlockSeq.
 // Seq optionally carries a per-(tenant, stream) monotonic batch
 // sequence number. When positive, the registry applies the batch at
 // most once: a seq at or below the session's high-water mark is
@@ -165,6 +203,13 @@ type observeRequest struct {
 	Events    []Event `json:"events,omitempty"`
 	Senders   []int64 `json:"senders,omitempty"`
 	Sizes     []int64 `json:"sizes,omitempty"`
+}
+
+// Event is one observed message: who sent it and how many bytes it
+// carried. It is the element of the object-form "events" body.
+type Event struct {
+	Sender int64 `json:"sender"`
+	Size   int64 `json:"size"`
 }
 
 // scratch is the pooled per-request state. The body is slurped into the
@@ -395,48 +440,31 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding observe request: %v", err)
 		return
 	}
-	if !validKey(sc.req.Tenant) || !validKey(sc.req.Stream) {
-		writeError(w, http.StatusBadRequest, "tenant and stream are required and at most %d bytes", MaxKeyLen)
+	req := &sc.req
+	if len(req.Events) > 0 {
+		if len(req.Senders) > 0 || len(req.Sizes) > 0 {
+			writeError(w, http.StatusBadRequest, "give events either as objects or as senders/sizes columns, not both")
+			return
+		}
+		for _, ev := range req.Events {
+			req.Senders = append(req.Senders, ev.Sender)
+			req.Sizes = append(req.Sizes, ev.Size)
+		}
+	} else if len(req.Senders) != len(req.Sizes) {
+		writeError(w, http.StatusBadRequest, "senders and sizes must be the same length (%d != %d)", len(req.Senders), len(req.Sizes))
 		return
 	}
-	columnar := len(sc.req.Senders) > 0 || len(sc.req.Sizes) > 0
-	if columnar && len(sc.req.Events) > 0 {
-		writeError(w, http.StatusBadRequest, "give events either as objects or as senders/sizes columns, not both")
+	if class, msg := checkObserve(req.Tenant, req.Stream, req.Predictor, req.Seq, len(req.Senders)); class != notRefused {
+		writeError(w, observeStatus[class], "%s", msg)
 		return
 	}
-	if columnar && len(sc.req.Senders) != len(sc.req.Sizes) {
-		writeError(w, http.StatusBadRequest, "senders and sizes must be the same length (%d != %d)", len(sc.req.Senders), len(sc.req.Sizes))
-		return
-	}
-	n := len(sc.req.Events)
-	if columnar {
-		n = len(sc.req.Senders)
-	}
-	if n == 0 {
-		writeError(w, http.StatusBadRequest, "events must not be empty")
-		return
-	}
-	if sc.req.Predictor != "" && !strategy.Known(sc.req.Predictor) {
-		writeError(w, http.StatusBadRequest, "unknown predictor %q (known: %v)", sc.req.Predictor, strategy.Names())
-		return
-	}
-	if sc.req.Seq < 0 {
-		writeError(w, http.StatusBadRequest, "seq must be non-negative")
-		return
-	}
-	var total int64
-	var duplicate bool
-	if columnar {
-		total, duplicate, err = s.reg.ObserveBlockSeq(sc.req.Tenant, sc.req.Stream, sc.req.Predictor, sc.req.Seq, sc.req.Senders, sc.req.Sizes)
-	} else {
-		total, duplicate, err = s.reg.ObserveBatchSeq(sc.req.Tenant, sc.req.Stream, sc.req.Predictor, sc.req.Seq, sc.req.Events)
-	}
+	total, duplicate, err := s.reg.ObserveBlockSeq(req.Tenant, req.Stream, req.Predictor, req.Seq, req.Senders, req.Sizes)
 	if err != nil {
-		// The name and column lengths were validated above, so the only
-		// remaining failure is a strategy conflict with an existing session.
-		writeError(w, http.StatusConflict, "%v", err)
+		// checkObserve leaves only a strategy conflict to the registry.
+		writeError(w, observeStatus[refusedConflict], "%v", err)
 		return
 	}
+	n := len(req.Senders)
 	if duplicate {
 		// The batch was already applied by an earlier delivery; this is a
 		// positive ack of that fact, not an error — the retrying client

@@ -229,7 +229,7 @@ func TestServerExpvarMetrics(t *testing.T) {
 func TestServerMultipleInstancesDoNotCollide(t *testing.T) {
 	a := NewServer(NewRegistry(Config{}))
 	b := NewServer(NewRegistry(Config{}))
-	a.Registry().Observe("t", "s", Event{Sender: 1, Size: 1})
+	observe(a.Registry(), "t", "s", "", Event{Sender: 1, Size: 1})
 
 	rec := httptest.NewRecorder()
 	b.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/vars", nil))

@@ -31,9 +31,9 @@ func sampleSessions(t testing.TB) []SessionSnapshot {
 	feedPeriodic(r, "bt.4", "r1/logical", 6, 300)   // locked
 	feedPeriodic(r, "bt.4", "r1/physical", 12, 250) // locked, longer period
 	for i := 0; i < 40; i++ {                       // learning, aperiodic
-		r.Observe("cg.8", "r3/logical", Event{Sender: int64(i), Size: int64(i * i)})
+		observe(r, "cg.8", "r3/logical", "", Event{Sender: int64(i), Size: int64(i * i)})
 	}
-	r.Observe("is.4", "r0/logical", Event{Sender: 2, Size: 1 << 20}) // nearly fresh
+	observe(r, "is.4", "r0/logical", "", Event{Sender: 2, Size: 1 << 20}) // nearly fresh
 	return r.SnapshotSessions()
 }
 
@@ -88,7 +88,7 @@ func TestSnapshotCodecRoundTripProperty(t *testing.T) {
 				if noise && rng.Intn(8) == 0 {
 					ev.Sender = int64(rng.Intn(period + 3))
 				}
-				r.Observe(tenant, stream, ev)
+				observe(r, tenant, stream, "", ev)
 			}
 		}
 		want := r.SnapshotSessions()
@@ -280,7 +280,7 @@ func FuzzSnapshotCodec(f *testing.F) {
 // Registry; the HTTP layer cannot).
 func TestWriteSnapshotRejectsEmptyKeys(t *testing.T) {
 	r := NewRegistry(Config{Predictor: codecPredictorConfig()})
-	r.Observe("", "s", Event{Sender: 1, Size: 2})
+	observe(r, "", "s", "", Event{Sender: 1, Size: 2})
 	var buf bytes.Buffer
 	if err := WriteSnapshot(&buf, r.SnapshotSessions()); err == nil {
 		t.Fatal("WriteSnapshot accepted an empty session key")
@@ -294,8 +294,8 @@ func TestWriteSnapshotRejectsEmptyKeys(t *testing.T) {
 func TestSnapshotLastSeqRoundTrip(t *testing.T) {
 	r := NewRegistry(Config{Predictor: codecPredictorConfig()})
 	for seq := int64(1); seq <= 7; seq++ {
-		if _, _, err := r.ObserveBatchSeq("bt.4", "r1/logical", "", seq,
-			[]Event{{Sender: seq % 3, Size: 100 * seq}}); err != nil {
+		if _, _, err := r.ObserveBlockSeq("bt.4", "r1/logical", "", seq,
+			[]int64{seq % 3}, []int64{100 * seq}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -317,8 +317,7 @@ func TestSnapshotLastSeqRoundTrip(t *testing.T) {
 	if err := fresh.RestoreSessions(got); err != nil {
 		t.Fatal(err)
 	}
-	total, dup, err := fresh.ObserveBatchSeq("bt.4", "r1/logical", "", 7,
-		[]Event{{Sender: 1, Size: 700}})
+	total, dup, err := fresh.ObserveBlockSeq("bt.4", "r1/logical", "", 7, []int64{1}, []int64{700})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +351,7 @@ func heterogeneousSessions(t testing.TB) []SessionSnapshot {
 		stream := "r" + string(rune('0'+i)) + "/logical"
 		for j := 0; j < 300; j++ {
 			ev := Event{Sender: int64(j % 5), Size: int64(10 * (j % 5))}
-			if err := r.ObserveAs("mix", stream, name, ev); err != nil {
+			if _, err := observe(r, "mix", stream, name, ev); err != nil {
 				t.Fatal(err)
 			}
 		}

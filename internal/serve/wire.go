@@ -32,9 +32,12 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mpipredict/internal/strategy"
 	"mpipredict/internal/wire"
 )
+
+// observeCode maps a refusal class to its wire error code, the twin of
+// the HTTP listener's observeStatus.
+var observeCode = [...]uint64{refusedBad: wire.CodeBadRequest, refusedConflict: wire.CodeConflict}
 
 // maxInternedKeys bounds the per-connection string-intern table. A
 // connection replaying a bounded session set stays far below it; a
@@ -309,31 +312,16 @@ func (wc *wireConn) handleObserve(p []byte) bool {
 		return false
 	}
 	ov := &wc.ov
-	if !validKeyBytes(ov.Tenant) || !validKeyBytes(ov.Stream) {
-		wc.fail(wire.CodeBadRequest, ref, fmt.Sprintf("tenant and stream are required and at most %d bytes", MaxKeyLen))
+	// The views are checked before wc.key interns them, so a refused frame
+	// costs the table nothing.
+	if class, msg := checkObserve(ov.Tenant, ov.Stream, ov.Strategy, ov.Seq, len(ov.Senders)); class != notRefused {
+		wc.fail(observeCode[class], ref, msg)
 		return false
 	}
-	if len(ov.Senders) == 0 {
-		wc.fail(wire.CodeBadRequest, ref, "events must not be empty")
-		return false
-	}
-	if ov.Seq < 0 {
-		wc.fail(wire.CodeBadRequest, ref, "seq must be non-negative")
-		return false
-	}
-	strat := ""
-	if len(ov.Strategy) > 0 {
-		strat = wc.key(ov.Strategy)
-		if !strategy.Known(strat) {
-			wc.fail(wire.CodeBadRequest, ref, fmt.Sprintf("unknown predictor %q (known: %v)", strat, strategy.Names()))
-			return false
-		}
-	}
-	_, duplicate, err := ws.srv.reg.ObserveBlockSeq(wc.key(ov.Tenant), wc.key(ov.Stream), strat, ov.Seq, ov.Senders, ov.Sizes)
+	_, duplicate, err := ws.srv.reg.ObserveBlockSeq(wc.key(ov.Tenant), wc.key(ov.Stream), wc.key(ov.Strategy), ov.Seq, ov.Senders, ov.Sizes)
 	if err != nil {
-		// Keys and columns were validated above; what remains is a
-		// strategy conflict with an existing session.
-		wc.fail(wire.CodeConflict, ref, err.Error())
+		// checkObserve leaves only a strategy conflict to the registry.
+		wc.fail(observeCode[refusedConflict], ref, err.Error())
 		return false
 	}
 	wc.ordinal++
@@ -383,6 +371,3 @@ func (wc *wireConn) handlePredict(p []byte) bool {
 	wc.enc = wire.AppendPredictResp(wc.enc[:0], pv.ID, found, observed, wc.wfcs)
 	return wc.fw.WriteFrame(wc.enc) == nil
 }
-
-// validKeyBytes is validKey for a decoded byte view, allocation-free.
-func validKeyBytes(b []byte) bool { return len(b) > 0 && len(b) <= MaxKeyLen }

@@ -140,7 +140,8 @@ type (
 	ServeRegistry = serve.Registry
 	// ServeServer is the HTTP/JSON face of a registry.
 	ServeServer = serve.Server
-	// ServeEvent is one observed message (sender, size).
+	// ServeEvent is one observed message (sender, size), the element of
+	// an observe request's "events" array.
 	ServeEvent = serve.Event
 	// ServeForecast is one future-message forecast with per-stream ok
 	// flags.

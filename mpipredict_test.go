@@ -156,7 +156,9 @@ func TestFacadeFigure1SmallRun(t *testing.T) {
 func TestFacadeServing(t *testing.T) {
 	reg := NewServeRegistry(ServeConfig{})
 	for i := 0; i < 3000; i++ {
-		reg.Observe("tenant", "stream", ServeEvent{Sender: int64(i % 4), Size: int64(10 * (i % 4))})
+		if _, _, err := reg.ObserveBlockSeq("tenant", "stream", "", 0, []int64{int64(i % 4)}, []int64{int64(10 * (i % 4))}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	fc, observed, ok := reg.ForecastInto(nil, "tenant", "stream", 3)
 	if !ok || observed != 3000 || len(fc) != 3 {
