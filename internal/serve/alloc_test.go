@@ -51,6 +51,30 @@ func TestRegistryObserveLearningZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestRegistryObserveBatchZeroAllocs pins the batched ingest path the
+// replay ingesters drive: unsequenced blocks of every length up to a
+// multi-request batch observe without allocating.
+func TestRegistryObserveBatchZeroAllocs(t *testing.T) {
+	r := NewRegistry(Config{})
+	feedPeriodic(r, "tenant", "stream", 6, 4*core.DefaultConfig().WindowSize)
+	senders := make([]int64, 512)
+	sizes := make([]int64, 512)
+	for i := range senders {
+		senders[i] = int64(i % 6)
+		sizes[i] = int64(100 * (i % 6))
+	}
+	for _, n := range []int{1, 7, 64, 512} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, _, err := r.ObserveBlockSeq("tenant", "stream", "", 0, senders[:n], sizes[:n]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("ObserveBlockSeq allocates %.2f objects per %d-event batch, want 0", allocs, n)
+		}
+	}
+}
+
 // TestRegistryObserveBatchSeqZeroAllocs pins the idempotent ingest path:
 // the duplicate check is one integer compare under the shard lock, so
 // sequenced blocks — applied or dropped as duplicates — must stay

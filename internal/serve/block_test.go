@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -34,6 +35,45 @@ func TestRegistryObserveBlockZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Registry.ObserveBlockSeq allocates %.2f objects per 64-event block, want 0", allocs)
+	}
+}
+
+// TestObserveBlockMatchesObserveBatch pins that the columnar path drives
+// sessions into the exact state the event-object path does: a stream
+// posted as "events" bodies to the observe handler and the same stream
+// given to ObserveBlockSeq as columns leave identical snapshots.
+func TestObserveBlockMatchesObserveBatch(t *testing.T) {
+	batchReg := NewRegistry(Config{})
+	blockReg := NewRegistry(Config{})
+	srv := NewServer(batchReg)
+	const n = 500
+	events := make([]Event, n)
+	senders := make([]int64, n)
+	sizes := make([]int64, n)
+	for i := 0; i < n; i++ {
+		events[i] = Event{Sender: int64(i % 9), Size: int64(64 * (i % 9))}
+		senders[i] = events[i].Sender
+		sizes[i] = events[i].Size
+	}
+	for i := 0; i < n; i += 64 {
+		end := i + 64
+		if end > n {
+			end = n
+		}
+		body, err := json.Marshal(observeRequest{Tenant: "t", Stream: "s", Events: events[i:end]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec := postObserveJSON(t, srv, string(body)); rec.Code != http.StatusOK {
+			t.Fatalf("events body returned %d: %s", rec.Code, rec.Body.String())
+		}
+		if _, _, err := blockReg.ObserveBlockSeq("t", "s", "", 0, senders[i:end], sizes[i:end]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := batchReg.SnapshotSessions(), blockReg.SnapshotSessions()
+	if !reflect.DeepEqual(a, b) {
+		t.Error("block-fed session snapshot differs from the events-fed one")
 	}
 }
 

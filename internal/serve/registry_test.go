@@ -116,6 +116,73 @@ func TestRegistryMatchesBarePredictor(t *testing.T) {
 	}
 }
 
+// TestRegistryObserveBatchEquivalentToSingles pins that block length does
+// not change what a session learns: 500 one-event blocks and one
+// 500-event block leave identical forecasts.
+func TestRegistryObserveBatchEquivalentToSingles(t *testing.T) {
+	a := NewRegistry(Config{})
+	b := NewRegistry(Config{})
+	senders := make([]int64, 500)
+	sizes := make([]int64, 500)
+	for i := range senders {
+		senders[i], sizes[i] = int64(i%4), int64(i%9)
+	}
+	for i := range senders {
+		if _, _, err := a.ObserveBlockSeq("t", "s", "", 0, senders[i:i+1], sizes[i:i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	total, _, err := b.ObserveBlockSeq("t", "s", "", 0, senders, sizes)
+	if err != nil || total != int64(len(senders)) {
+		t.Fatalf("block total = %d err=%v, want %d", total, err, len(senders))
+	}
+	fa, _, _ := a.ForecastInto(nil, "t", "s", 5)
+	fb, _, _ := b.ForecastInto(nil, "t", "s", 5)
+	for i := range fa {
+		if fa[i] != fb[i] {
+			t.Fatalf("forecast %d differs: singles %+v vs block %+v", i, fa[i], fb[i])
+		}
+	}
+}
+
+// TestRegistryObserveBatchSeqDropsDuplicates pins the idempotency
+// contract on the first deliveries of a stream: replaying the same
+// sequenced block twice applies it exactly once, and a later unsequenced
+// block (seq 0) is never taken for a duplicate.
+func TestRegistryObserveBatchSeqDropsDuplicates(t *testing.T) {
+	r := NewRegistry(Config{})
+	clean := NewRegistry(Config{})
+	batch := []Event{{Sender: 1, Size: 10}, {Sender: 2, Size: 20}, {Sender: 3, Size: 30}}
+	senders := []int64{1, 2, 3}
+	sizes := []int64{10, 20, 30}
+
+	total, dup, err := r.ObserveBlockSeq("t", "s", "", 1, senders, sizes)
+	if err != nil || dup || total != 3 {
+		t.Fatalf("first delivery: total=%d dup=%v err=%v", total, dup, err)
+	}
+	// Second delivery of the same block: dropped, total unchanged.
+	total, dup, err = r.ObserveBlockSeq("t", "s", "", 1, senders, sizes)
+	if err != nil || !dup || total != 3 {
+		t.Fatalf("duplicate delivery: total=%d dup=%v err=%v", total, dup, err)
+	}
+	if _, dup, _ = r.ObserveBlockSeq("t", "s", "", 0, senders[:1], sizes[:1]); dup {
+		t.Fatal("unsequenced block (seq 0) was treated as a duplicate")
+	}
+	observe(clean, "t", "s", "", batch...)
+	observe(clean, "t", "s", "", batch[:1]...)
+	fa, _, _ := r.ForecastInto(nil, "t", "s", 4)
+	fb, _, _ := clean.ForecastInto(nil, "t", "s", 4)
+	if !reflect.DeepEqual(fa, fb) {
+		t.Fatalf("duplicate-dropped registry diverged from effectively-once delivery:\n got %+v\nwant %+v", fa, fb)
+	}
+	if got := r.Stats().DupBatches; got != 1 {
+		t.Fatalf("DupBatches = %d, want 1", got)
+	}
+	if info, ok := r.Info("t", "s"); !ok || info.LastSeq != 1 {
+		t.Fatalf("Info = %+v ok=%v, want LastSeq 1", info, ok)
+	}
+}
+
 // TestRegistryObserveBlockSeqDropsDuplicates pins the idempotency
 // contract the reliable replay clients depend on: delivering the same
 // sequenced block twice applies it once, so a retry of a request whose
