@@ -22,6 +22,7 @@ import (
 	"mpipredict/internal/evalx"
 	"mpipredict/internal/strategy"
 	"mpipredict/internal/trace"
+	"mpipredict/internal/tracecache"
 	"mpipredict/internal/workloads"
 )
 
@@ -405,7 +406,7 @@ func btLogicalSenders(tb testing.TB) []int64 {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tr, err := RunWorkloadCached(spec, DefaultNetworkConfig(), 1)
+	tr, err := tracecache.Shared.Get(workloads.RunConfig{Spec: spec, Net: DefaultNetworkConfig(), Seed: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"mpipredict/internal/evalx"
 	"mpipredict/internal/strategy"
 	"mpipredict/internal/trace"
+	"mpipredict/internal/tracecache"
 	"mpipredict/internal/workloads"
 )
 
@@ -142,7 +143,7 @@ func BenchmarkSetAccuracy(b *testing.B) {
 // trace, plus the static memory a 10 000-process job would need (MiB).
 func BenchmarkMemoryReduction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tr, err := RunWorkloadCached(WorkloadSpec{Name: "bt", Procs: 25}, DefaultNetworkConfig(), 1)
+		tr, err := tracecache.Shared.Get(workloads.RunConfig{Spec: WorkloadSpec{Name: "bt", Procs: 25}, Net: DefaultNetworkConfig(), Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -166,7 +167,7 @@ func BenchmarkControlFlow(b *testing.B) {
 	specs := []WorkloadSpec{{Name: "bt", Procs: 25}, {Name: "is", Procs: 32}}
 	for i := 0; i < b.N; i++ {
 		for _, spec := range specs {
-			tr, err := RunWorkloadCached(spec, DefaultNetworkConfig(), 1)
+			tr, err := tracecache.Shared.Get(workloads.RunConfig{Spec: spec, Net: DefaultNetworkConfig(), Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -189,7 +190,7 @@ func BenchmarkRendezvousElimination(b *testing.B) {
 	specs := []WorkloadSpec{{Name: "bt", Procs: 4}, {Name: "cg", Procs: 8}}
 	for i := 0; i < b.N; i++ {
 		for _, spec := range specs {
-			tr, err := RunWorkloadCached(spec, DefaultNetworkConfig(), 1)
+			tr, err := tracecache.Shared.Get(workloads.RunConfig{Spec: spec, Net: DefaultNetworkConfig(), Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -211,7 +212,7 @@ func BenchmarkRendezvousElimination(b *testing.B) {
 func BenchmarkAblationLockPolicy(b *testing.B) {
 	spec := workloads.Spec{Name: "bt", Procs: 9}
 	recv, _ := workloads.TypicalReceiver(spec.Name, spec.Procs)
-	tr, err := RunWorkloadCached(spec, DefaultNetworkConfig(), 1)
+	tr, err := tracecache.Shared.Get(workloads.RunConfig{Spec: spec, Net: DefaultNetworkConfig(), Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"mpipredict/internal/serve"
+	"mpipredict/internal/stream"
 	"mpipredict/internal/trace"
 )
 
@@ -124,7 +125,7 @@ func TestGatewayServesClusterEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := serve.Replay(context.Background(), g.url(), tr, serve.ReplayOptions{})
+	stats, err := serve.ReplaySource(context.Background(), g.url(), stream.TraceSource(tr), serve.ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,7 @@ import (
 	"mpipredict/internal/evalx"
 	"mpipredict/internal/faultinject"
 	"mpipredict/internal/serve"
+	"mpipredict/internal/stream"
 	"mpipredict/internal/trace"
 	"mpipredict/internal/workloads"
 )
@@ -43,7 +44,7 @@ func singleNodeReplayBytes(t *testing.T, names ...string) []byte {
 	b := newTestBackend(t, serve.Config{})
 	for _, name := range names {
 		tr := corpusTrace(t, name)
-		if _, err := serve.Replay(context.Background(), b.ts.URL, tr, serve.ReplayOptions{}); err != nil {
+		if _, err := serve.ReplaySource(context.Background(), b.ts.URL, stream.TraceSource(tr), serve.ReplayOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,7 +55,7 @@ func clusterReplay(t *testing.T, c *testCluster, opts serve.ReplayOptions, names
 	t.Helper()
 	for _, name := range names {
 		tr := corpusTrace(t, name)
-		if _, err := serve.Replay(context.Background(), c.ts.URL, tr, opts); err != nil {
+		if _, err := serve.ReplaySource(context.Background(), c.ts.URL, stream.TraceSource(tr), opts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -253,7 +254,7 @@ func TestClusterMigrationFromSingleNodeSnapshot(t *testing.T) {
 	single := newTestBackend(t, serve.Config{})
 	for _, name := range []string{"bt.4.mpts", "cg.4.mpts"} {
 		tr := corpusTrace(t, name)
-		if _, err := serve.Replay(context.Background(), single.ts.URL, tr, serve.ReplayOptions{}); err != nil {
+		if _, err := serve.ReplaySource(context.Background(), single.ts.URL, stream.TraceSource(tr), serve.ReplayOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -120,7 +121,27 @@ func (c *testCluster) mergedSnapshotBytes(t *testing.T) []byte {
 	for _, b := range c.backends {
 		parts = append(parts, b.registry().SnapshotSessions())
 	}
-	return encodeSnapshot(t, MergeSnapshots(parts...))
+	return encodeSnapshot(t, mergeSnapshots(parts...))
+}
+
+// mergeSnapshots concatenates per-backend session snapshots back into
+// one canonically sorted set — the inverse of PartitionSnapshot. Writing
+// the merged set with serve.WriteSnapshot yields the byte-identical file
+// a single daemon holding all the sessions would write, which is how
+// these tests prove a sharded deployment holds exactly the single-node
+// state.
+func mergeSnapshots(parts ...[]serve.SessionSnapshot) []serve.SessionSnapshot {
+	var all []serve.SessionSnapshot
+	for _, p := range parts {
+		all = append(all, p...)
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Tenant != all[j].Tenant {
+			return all[i].Tenant < all[j].Tenant
+		}
+		return all[i].Stream < all[j].Stream
+	})
+	return all
 }
 
 func encodeSnapshot(t *testing.T, sessions []serve.SessionSnapshot) []byte {

@@ -33,26 +33,6 @@ func PartitionSnapshot(sessions []serve.SessionSnapshot, m *ShardMap) map[string
 	return parts
 }
 
-// MergeSnapshots concatenates per-backend session snapshots back into
-// one canonically sorted set — the inverse of PartitionSnapshot. Writing
-// the merged set with serve.WriteSnapshot yields the byte-identical file
-// a single daemon holding all the sessions would write, which is how the
-// cluster tests prove a sharded deployment holds exactly the single-node
-// state.
-func MergeSnapshots(parts ...[]serve.SessionSnapshot) []serve.SessionSnapshot {
-	var all []serve.SessionSnapshot
-	for _, p := range parts {
-		all = append(all, p...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Tenant != all[j].Tenant {
-			return all[i].Tenant < all[j].Tenant
-		}
-		return all[i].Stream < all[j].Stream
-	})
-	return all
-}
-
 // restoreReply is the /v1/restore ack.
 type restoreReply struct {
 	Restored int `json:"restored"`

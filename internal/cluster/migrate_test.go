@@ -53,14 +53,14 @@ func TestMergeSnapshotsInvertsPartitionByteStably(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Canonical (sorted) input, as SnapshotSessions produces.
-	sessions := MergeSnapshots(fakeSessions(t, 24))
+	sessions := mergeSnapshots(fakeSessions(t, 24))
 	want := encodeSnapshot(t, sessions)
 	parts := PartitionSnapshot(sessions, m)
 	var split [][]serve.SessionSnapshot
 	for _, p := range parts {
 		split = append(split, p)
 	}
-	got := encodeSnapshot(t, MergeSnapshots(split...))
+	got := encodeSnapshot(t, mergeSnapshots(split...))
 	if !bytes.Equal(got, want) {
 		t.Fatal("partition → merge round trip is not byte-stable")
 	}
@@ -80,7 +80,7 @@ func TestRestoreToClusterFailsClosedOnDeadBackend(t *testing.T) {
 }
 
 func TestMigrateFile(t *testing.T) {
-	sessions := MergeSnapshots(fakeSessions(t, 10))
+	sessions := mergeSnapshots(fakeSessions(t, 10))
 	path := filepath.Join(t.TempDir(), "state.mps")
 	if err := serve.SaveSnapshotFile(path, sessions); err != nil {
 		t.Fatal(err)

@@ -188,9 +188,7 @@ func TestEvaluateSourceMemoryIndependentOfTraceLength(t *testing.T) {
 // TestPerturbedAndMergedCorpusAccuracy pins the robustness transforms
 // end to end: a fixed-seed perturbation of a corpus trace produces the
 // exact same accuracy on every run, and the recorded deltas document how
-// the DPD degrades as arrival noise grows. The merged-scenario case
-// interleaves two corpus traces and checks each receiver's stream scores
-// exactly as it does alone (the merge leaves per-stream order intact).
+// the DPD degrades as arrival noise grows.
 func TestPerturbedAndMergedCorpusAccuracy(t *testing.T) {
 	const tolerance = 1e-12
 	baseline := func(path string, receiver int) Result {
@@ -295,68 +293,4 @@ func TestPerturbedAndMergedCorpusAccuracy(t *testing.T) {
 			}
 		})
 	}
-
-	t.Run("merged scenario preserves per-stream accuracy", func(t *testing.T) {
-		other := corpusPath("cg.4.mpts")
-		otherTr, err := trace.Load(other)
-		if err != nil {
-			t.Fatal(err)
-		}
-		otherReceiver, err := workloads.ReplayReceiver(otherTr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Shift the second trace's receiver ranks out of the first's
-		// range so the merged scenario has disjoint sessions.
-		const shift = 100
-		openMerged := func() (stream.Source, error) {
-			a, err := stream.OpenFile(path)
-			if err != nil {
-				return nil, err
-			}
-			b, err := stream.OpenFile(other)
-			if err != nil {
-				return nil, err
-			}
-			return stream.Merge(a, shiftReceivers(b, shift)), nil
-		}
-		mergedBT, err := EvaluateSource(openMerged, receiver, Options{NoCache: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mergedCG, err := EvaluateSource(openMerged, otherReceiver+shift, Options{NoCache: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := mergedBT.Sender[trace.Physical].Mean(), baseMean; got != want {
-			t.Errorf("bt stream scored %v inside the merge, %v alone", got, want)
-		}
-		cgAlone := baseline(other, otherReceiver)
-		if got, want := mergedCG.Sender[trace.Physical].Mean(), cgAlone.Sender[trace.Physical].Mean(); got != want {
-			t.Errorf("cg stream scored %v inside the merge, %v alone", got, want)
-		}
-	})
 }
-
-// shiftReceivers offsets every receiver rank — a tiny test-local
-// transform demonstrating the Source composition the pipeline allows.
-type receiverShifter struct {
-	src   stream.Source
-	shift int
-}
-
-func shiftReceivers(src stream.Source, shift int) stream.Source {
-	return &receiverShifter{src: src, shift: shift}
-}
-
-func (s *receiverShifter) Next(b *stream.EventBlock) error {
-	if err := s.src.Next(b); err != nil {
-		return err
-	}
-	for i := range b.Receiver {
-		b.Receiver[i] += s.shift
-	}
-	return nil
-}
-
-func (s *receiverShifter) Close() error { return stream.Close(s.src) }

@@ -87,7 +87,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// validate rejects probabilities outside [0, 1].
+// validate rejects probabilities outside [0, 1], NaN included.
 func (c Config) validate() error {
 	for _, p := range []struct {
 		name string
@@ -96,7 +96,7 @@ func (c Config) validate() error {
 		{"latency", c.LatencyProb}, {"err", c.ErrorProb}, {"reset", c.ResetProb},
 		{"drop", c.DropResponseProb}, {"truncate", c.TruncateProb},
 	} {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) {
 			return fmt.Errorf("faultinject: %s probability %v outside [0, 1]", p.name, p.v)
 		}
 	}
@@ -121,7 +121,7 @@ func ParseSpec(spec string) (Config, error) {
 		}
 		prob := func(s string) (float64, error) {
 			v, err := strconv.ParseFloat(s, 64)
-			if err != nil || v < 0 || v > 1 {
+			if err != nil || !(v >= 0 && v <= 1) {
 				return 0, fmt.Errorf("faultinject: %s probability %q is not in [0, 1]", key, s)
 			}
 			return v, nil

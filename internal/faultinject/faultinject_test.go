@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -23,6 +24,31 @@ func TestParseSpec(t *testing.T) {
 	if !cfg.Enabled() {
 		t.Fatal("parsed config reports disabled")
 	}
+}
+
+// FuzzParseSpec: whatever the flag text, an accepted spec holds only
+// probabilities in [0, 1] and a non-negative latency.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"err=0.05,reset=0.1,drop=0.15,truncate=0.2,latency=0.25:5ms,seed=42",
+		"latency=0.5", "err=NaN,latency=nan:1ms", "err=2", "latency=0.5:-1ms", "",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		cfg, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		for _, p := range []float64{cfg.LatencyProb, cfg.ErrorProb, cfg.ResetProb, cfg.DropResponseProb, cfg.TruncateProb} {
+			if !(p >= 0 && p <= 1) {
+				t.Fatalf("ParseSpec(%q) accepted probability %v: %+v", spec, p, cfg)
+			}
+		}
+		if cfg.Latency < 0 {
+			t.Fatalf("ParseSpec(%q) accepted negative latency %v", spec, cfg.Latency)
+		}
+	})
 }
 
 func TestParseSpecLatencyWithoutDuration(t *testing.T) {
@@ -47,6 +73,8 @@ func TestParseSpecErrors(t *testing.T) {
 		"err=2",
 		"err=-0.1",
 		"err=x",
+		"err=NaN",
+		"latency=nan:1ms",
 		"latency=0.5:xs",
 		"latency=0.5:-1ms",
 		"seed=abc",
@@ -306,10 +334,14 @@ func TestMiddlewareFaultSemantics(t *testing.T) {
 }
 
 func TestNewTransportRejectsInvalidConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewTransport accepted probability > 1")
-		}
-	}()
-	NewTransport(Config{ErrorProb: 1.5}, nil)
+	for _, p := range []float64{1.5, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewTransport accepted error probability %v", p)
+				}
+			}()
+			NewTransport(Config{ErrorProb: p}, nil)
+		}()
+	}
 }

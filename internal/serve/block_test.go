@@ -170,7 +170,7 @@ func TestReplaySourceMatchesReplay(t *testing.T) {
 	}
 
 	wantSnaps, wantStats := run(func(u string) (ReplayStats, error) {
-		return Replay(context.Background(), u, tr, ReplayOptions{})
+		return ReplaySource(context.Background(), u, stream.TraceSource(tr), ReplayOptions{})
 	})
 	gotSnaps, gotStats := run(func(u string) (ReplayStats, error) {
 		src, err := stream.OpenFile(path)

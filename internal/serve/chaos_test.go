@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"mpipredict/internal/faultinject"
+	"mpipredict/internal/stream"
 )
 
 // fastRetry keeps chaos tests quick: real backoff schedules are for
@@ -37,7 +38,7 @@ func cleanReplayBytes(t *testing.T) []byte {
 	srv := NewServer(NewRegistry(Config{}))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	if _, err := Replay(context.Background(), ts.URL, tr, ReplayOptions{BatchSize: 1}); err != nil {
+	if _, err := ReplaySource(context.Background(), ts.URL, stream.TraceSource(tr), ReplayOptions{BatchSize: 1}); err != nil {
 		t.Fatal(err)
 	}
 	return encodeSnapshot(t, srv.Registry().SnapshotSessions())
@@ -70,7 +71,7 @@ func TestChaosReplayConvergesByteIdentical(t *testing.T) {
 	opts := fastRetry()
 	opts.Client = &http.Client{Transport: chaos}
 
-	stats, err := Replay(context.Background(), ts.URL, tr, opts)
+	stats, err := ReplaySource(context.Background(), ts.URL, stream.TraceSource(tr), opts)
 	if err != nil {
 		t.Fatalf("chaos replay failed: %v (stats %+v, injected %+v)", err, stats, chaos.Injected().Snapshot())
 	}
@@ -112,7 +113,7 @@ func TestChaosReplayThroughServerMiddleware(t *testing.T) {
 	ts := httptest.NewServer(faultinject.Middleware(chaosConfig(), srv))
 	defer ts.Close()
 
-	stats, err := Replay(context.Background(), ts.URL, tr, fastRetry())
+	stats, err := ReplaySource(context.Background(), ts.URL, stream.TraceSource(tr), fastRetry())
 	if err != nil {
 		t.Fatalf("chaos replay failed: %v (stats %+v)", err, stats)
 	}
@@ -144,7 +145,7 @@ func TestReplayRetriesHonorRetryAfter(t *testing.T) {
 	ts := httptest.NewServer(shedder)
 	defer ts.Close()
 
-	stats, err := Replay(context.Background(), ts.URL, tr, fastRetry())
+	stats, err := ReplaySource(context.Background(), ts.URL, stream.TraceSource(tr), fastRetry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestReplayDoesNotRetryPermanentErrors(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	_, err := Replay(context.Background(), ts.URL, tr, fastRetry())
+	_, err := ReplaySource(context.Background(), ts.URL, stream.TraceSource(tr), fastRetry())
 	if err == nil || !strings.Contains(err.Error(), "403") {
 		t.Fatalf("err = %v, want a 403 failure", err)
 	}
@@ -198,7 +199,7 @@ func TestReplayContextCancellation(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		opts := ReplayOptions{RetryBase: 10 * time.Millisecond, MaxRetries: 1 << 20}
-		_, err := Replay(ctx, ts.URL, tr, opts)
+		_, err := ReplaySource(ctx, ts.URL, stream.TraceSource(tr), opts)
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -164,13 +165,6 @@ type sessionBatch struct {
 type replayKey struct {
 	receiver int
 	level    trace.Level
-}
-
-// Replay feeds every traced (receiver, level) stream of tr through the
-// observe API of the daemon at baseURL. It is a thin wrapper over
-// ReplaySource with an in-memory trace source.
-func Replay(ctx context.Context, baseURL string, tr *trace.Trace, opts ReplayOptions) (ReplayStats, error) {
-	return ReplaySource(ctx, baseURL, stream.TraceSource(tr), opts)
 }
 
 // ReplaySource feeds every traced (receiver, level) stream of a block
@@ -368,15 +362,15 @@ func SleepBackoff(ctx context.Context, base time.Duration, attempt int, retryAft
 // integer becomes that many seconds, a parseable HTTP-date becomes the
 // time remaining until it (zero when the date already passed — "retry
 // now" is still a valid hint). Everything else, including negative
-// numbers and garbage, reports ok false and the caller falls back to its
-// own backoff schedule; a malformed header must never stall or break a
-// retry loop.
+// numbers, delta-seconds too large for a time.Duration and garbage,
+// reports ok false and the caller falls back to its own backoff
+// schedule; a malformed header must never stall or break a retry loop.
 func ParseRetryAfter(v string, now time.Time) (time.Duration, bool) {
 	if v == "" {
 		return 0, false
 	}
-	if secs, err := strconv.Atoi(v); err == nil {
-		if secs < 0 {
+	if secs, err := strconv.ParseInt(v, 10, 64); err == nil {
+		if secs < 0 || secs > math.MaxInt64/int64(time.Second) {
 			return 0, false
 		}
 		return time.Duration(secs) * time.Second, true

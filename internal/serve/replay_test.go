@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mpipredict/internal/evalx"
+	"mpipredict/internal/stream"
 	"mpipredict/internal/trace"
 	"mpipredict/internal/workloads"
 )
@@ -27,7 +28,7 @@ func TestReplayFeedsEveryStream(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	stats, err := Replay(context.Background(), ts.URL, tr, ReplayOptions{BatchSize: 32})
+	stats, err := ReplaySource(context.Background(), ts.URL, stream.TraceSource(tr), ReplayOptions{BatchSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestReplayedSessionMatchesOfflinePredictorState(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	if _, err := Replay(context.Background(), ts.URL, tr, ReplayOptions{}); err != nil {
+	if _, err := ReplaySource(context.Background(), ts.URL, stream.TraceSource(tr), ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -114,7 +115,7 @@ func TestReplayAgainstDeadServer(t *testing.T) {
 	ts.Close() // dead before the replay starts
 	// Retries disabled: a permanently dead server would otherwise burn the
 	// whole backoff schedule before failing, for no extra coverage here.
-	if _, err := Replay(context.Background(), ts.URL, tr, ReplayOptions{MaxRetries: -1}); err == nil {
+	if _, err := ReplaySource(context.Background(), ts.URL, stream.TraceSource(tr), ReplayOptions{MaxRetries: -1}); err == nil {
 		t.Fatal("replay against a closed server succeeded")
 	}
 }

@@ -16,6 +16,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mpipredict/internal/stream"
 )
 
 func TestParseRetryAfter(t *testing.T) {
@@ -32,6 +34,10 @@ func TestParseRetryAfter(t *testing.T) {
 		{"non-numeric", "soon", 0, false},
 		{"float", "1.5", 0, false},
 		{"overflowing garbage", "99999999999999999999999999", 0, false},
+		// Fits an int64 but not a time.Duration once scaled to seconds:
+		// unchecked, it wraps to 431459h and to a negative wait.
+		{"duration overflow", "20000000000", 0, false},
+		{"duration overflow to negative", "9300000000", 0, false},
 		{"http-date future", now.Add(90 * time.Second).Format(http.TimeFormat), 90 * time.Second, true},
 		// A date already passed is a valid "retry now", not a parse failure.
 		{"http-date past", now.Add(-time.Hour).Format(http.TimeFormat), 0, true},
@@ -43,6 +49,22 @@ func TestParseRetryAfter(t *testing.T) {
 			t.Errorf("%s: ParseRetryAfter(%q) = (%v, %v), want (%v, %v)", tc.name, tc.value, got, ok, tc.want, tc.ok)
 		}
 	}
+}
+
+// FuzzParseRetryAfter: no header value panics the parser, and an
+// accepted hint is never a negative wait.
+func FuzzParseRetryAfter(f *testing.F) {
+	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	for _, seed := range []string{"", "3", "-5", "1.5", "20000000000", "9300000000",
+		"99999999999999999999999999", now.Add(90 * time.Second).Format(http.TimeFormat),
+		"Wed, 99 Xxx 2099 99:99:99 GMT"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		if d, ok := ParseRetryAfter(v, now); ok && d < 0 {
+			t.Fatalf("ParseRetryAfter(%q) = (%v, true): negative wait", v, d)
+		}
+	})
 }
 
 // TestReplayMalformedRetryAfterStillRetries serves 503s carrying each
@@ -64,7 +86,7 @@ func TestReplayMalformedRetryAfterStillRetries(t *testing.T) {
 			defer ts.Close()
 			tr := corpusTrace(t, "bt.4.mpts")
 			start := time.Now()
-			stats, err := Replay(context.Background(), ts.URL, tr, ReplayOptions{RetryBase: time.Millisecond})
+			stats, err := ReplaySource(context.Background(), ts.URL, stream.TraceSource(tr), ReplayOptions{RetryBase: time.Millisecond})
 			if err != nil {
 				t.Fatalf("replay with malformed Retry-After %q: %v", header, err)
 			}
@@ -103,7 +125,7 @@ func TestReplayHonorsRetryAfterDate(t *testing.T) {
 	defer ts.Close()
 	tr := corpusTrace(t, "bt.4.mpts")
 	start := time.Now()
-	if _, err := Replay(context.Background(), ts.URL, tr, ReplayOptions{RetryBase: time.Millisecond}); err != nil {
+	if _, err := ReplaySource(context.Background(), ts.URL, stream.TraceSource(tr), ReplayOptions{RetryBase: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	// With a 1ms base the schedule alone sleeps ~1ms; anything close to a
@@ -126,7 +148,7 @@ func TestReplayCancellationMidBackoff(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := Replay(ctx, ts.URL, tr, ReplayOptions{RetryBase: time.Minute, MaxRetries: 100})
+		_, err := ReplaySource(ctx, ts.URL, stream.TraceSource(tr), ReplayOptions{RetryBase: time.Minute, MaxRetries: 100})
 		done <- err
 	}()
 	// Give the replay time to take the 503 and enter the backoff sleep,

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"mpipredict/internal/faultinject"
+	"mpipredict/internal/stream"
 	"mpipredict/internal/wire"
 )
 
@@ -50,7 +51,7 @@ func cleanReplayBytesWith(t *testing.T, cfg Config) []byte {
 	srv := NewServer(NewRegistry(cfg))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	if _, err := Replay(context.Background(), ts.URL, tr, ReplayOptions{BatchSize: 1}); err != nil {
+	if _, err := ReplaySource(context.Background(), ts.URL, stream.TraceSource(tr), ReplayOptions{BatchSize: 1}); err != nil {
 		t.Fatal(err)
 	}
 	return encodeSnapshot(t, srv.Registry().SnapshotSessions())
@@ -72,7 +73,7 @@ func TestWireReplayByteIdenticalToHTTP(t *testing.T) {
 			_, _ = startWireServer(t, srv)
 
 			tr := corpusTrace(t, "bt.4.mpts")
-			stats, err := Replay(context.Background(), ts.URL, tr, ReplayOptions{BatchSize: 1, Transport: TransportAuto})
+			stats, err := ReplaySource(context.Background(), ts.URL, stream.TraceSource(tr), ReplayOptions{BatchSize: 1, Transport: TransportAuto})
 			if err != nil {
 				t.Fatalf("wire replay: %v", err)
 			}
@@ -118,7 +119,7 @@ func TestWireChaosReplayConvergesByteIdentical(t *testing.T) {
 	opts.Transport = TransportWire
 	opts.WireWindow = 1
 	opts.MaxRetries = 200
-	stats, err := Replay(context.Background(), "wire://"+ln.Addr().String(), tr, opts)
+	stats, err := ReplaySource(context.Background(), "wire://"+ln.Addr().String(), stream.TraceSource(tr), opts)
 	if err != nil {
 		t.Fatalf("chaos wire replay failed: %v (stats %+v, injected %+v)", err, stats, chaos.Injected().Snapshot())
 	}
@@ -499,7 +500,7 @@ func TestWireReplayCancellationUnwinds(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		opts := ReplayOptions{BatchSize: 1, RetryBase: time.Millisecond, MaxRetries: 1 << 20, WireWindow: 1}
-		_, err := Replay(ctx, fmt.Sprintf("wire://%s", ln.Addr()), tr, opts)
+		_, err := ReplaySource(ctx, fmt.Sprintf("wire://%s", ln.Addr()), stream.TraceSource(tr), opts)
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)

@@ -186,43 +186,6 @@ func TestFilterReceiverLevel(t *testing.T) {
 	}
 }
 
-func TestMergeIsTimeOrderedAndOrderPreserving(t *testing.T) {
-	a := trace.New("a", 2)
-	b := trace.New("b", 2)
-	for i := 0; i < 2000; i++ {
-		a.Append(trace.Record{Time: float64(2 * i), Receiver: 0, Sender: i, Op: "send"})
-		b.Append(trace.Record{Time: float64(2*i + 1), Receiver: 1, Sender: i, Op: "send"})
-	}
-	merged := records(t, Merge(TraceSource(a), TraceSource(b)))
-	if len(merged) != 4000 {
-		t.Fatalf("merged %d records, want 4000", len(merged))
-	}
-	lastTime := -1.0
-	next := map[int]int{} // receiver -> expected sender counter
-	for _, r := range merged {
-		if r.Time < lastTime {
-			t.Fatalf("merge emitted time %v after %v", r.Time, lastTime)
-		}
-		lastTime = r.Time
-		if r.Sender != next[r.Receiver] {
-			t.Fatalf("receiver %d stream reordered: sender %d, want %d", r.Receiver, r.Sender, next[r.Receiver])
-		}
-		next[r.Receiver]++
-	}
-}
-
-func TestMergeDeterministicTieBreak(t *testing.T) {
-	mk := func(app string, sender int) *trace.Trace {
-		tr := trace.New(app, 1)
-		tr.Append(trace.Record{Time: 1, Receiver: 0, Sender: sender, Op: "send"})
-		return tr
-	}
-	got := records(t, Merge(TraceSource(mk("a", 10)), TraceSource(mk("b", 20))))
-	if got[0].Sender != 10 || got[1].Sender != 20 {
-		t.Errorf("tie broke toward the higher source index: %+v", got)
-	}
-}
-
 func TestPerturbDeterministicForFixedSeed(t *testing.T) {
 	cfg := PerturbConfig{SwapProbability: 0.3, DropProbability: 0.05, Seed: 7}
 	tr := trace.Synthesize(synthCfg(2000))

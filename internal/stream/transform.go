@@ -77,91 +77,6 @@ func FilterReceiverLevel(src Source, receiver int, level trace.Level) Source {
 		keep: func(b *EventBlock, i int) bool { return b.Receiver[i] == receiver && b.Level[i] == level }}
 }
 
-// mergeSource interleaves several sources by event time.
-type mergeSource struct {
-	meta
-	srcs    []Source
-	heads   []EventBlock // current block per source
-	cursors []int        // next unconsumed index per head
-	done    []bool
-}
-
-// Merge interleaves the given sources into one stream ordered by event
-// time, breaking ties toward the lower source index — a deterministic
-// k-way merge. Events of one source keep their relative order no matter
-// how the other sources interleave, so every per-(receiver, level)
-// stream survives the merge intact; composing scenarios (two synthetic
-// workloads sharing a network, a recorded trace plus injected noise
-// traffic) is Merge plus distinct receiver ranks. The merged source
-// carries the first source's metadata.
-func Merge(srcs ...Source) Source {
-	m := &mergeSource{
-		srcs:    srcs,
-		heads:   make([]EventBlock, len(srcs)),
-		cursors: make([]int, len(srcs)),
-		done:    make([]bool, len(srcs)),
-	}
-	if len(srcs) > 0 {
-		m.meta = metaFrom(srcs[0])
-	}
-	return m
-}
-
-// fill ensures source i has an unconsumed event or is marked done.
-func (m *mergeSource) fill(i int) error {
-	for !m.done[i] && m.cursors[i] >= m.heads[i].Len() {
-		err := m.srcs[i].Next(&m.heads[i])
-		m.cursors[i] = 0
-		if err == io.EOF {
-			m.done[i] = true
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (m *mergeSource) Next(b *EventBlock) error {
-	b.Reset()
-	for b.Len() < BlockLen {
-		best := -1
-		var bestTime float64
-		for i := range m.srcs {
-			if err := m.fill(i); err != nil {
-				return err
-			}
-			if m.done[i] {
-				continue
-			}
-			t := m.heads[i].Time[m.cursors[i]]
-			if best == -1 || t < bestTime {
-				best, bestTime = i, t
-			}
-		}
-		if best == -1 {
-			break
-		}
-		b.Append(m.heads[best].Record(m.cursors[best]))
-		m.cursors[best]++
-	}
-	if b.Len() == 0 {
-		return io.EOF
-	}
-	return nil
-}
-
-func (m *mergeSource) Close() error {
-	var first error
-	for _, s := range m.srcs {
-		if err := Close(s); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // PerturbConfig parameterizes the deterministic perturbation transform.
 type PerturbConfig struct {
 	// SwapProbability is the per-position probability that an event

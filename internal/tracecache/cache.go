@@ -187,7 +187,7 @@ func (c *Cache) Dir() string { return c.dir }
 // Shared is the process-wide cache used by the evaluation harness by
 // default. The paper grid is small (a few dozen configurations), so the
 // cache is unbounded; long-running processes that sweep many seeds should
-// Clear it between sweeps or use a private Cache.
+// use a private Cache or Options.NoCache.
 var Shared = New()
 
 // Get returns the trace for the given run configuration, filling the entry
@@ -220,14 +220,6 @@ func (c *Cache) Get(rc workloads.RunConfig) (*trace.Trace, error) {
 	e.tr, e.err = c.fill(key, func() (*trace.Trace, error) { return workloads.Run(rc) })
 	close(e.done)
 	return e.tr, e.err
-}
-
-// Clear drops every cached entry. In-flight simulations complete and are
-// delivered to their waiters, but are no longer retained.
-func (c *Cache) Clear() {
-	c.mu.Lock()
-	c.entries = make(map[Key]*entry)
-	c.mu.Unlock()
 }
 
 // Stats returns a snapshot of the cache counters.

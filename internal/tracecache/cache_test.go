@@ -137,23 +137,6 @@ func TestCachedTraceMatchesDirectRun(t *testing.T) {
 	}
 }
 
-func TestClear(t *testing.T) {
-	c := New()
-	if _, err := c.Get(testRC(1)); err != nil {
-		t.Fatal(err)
-	}
-	c.Clear()
-	if s := c.Stats(); s.Entries != 0 {
-		t.Errorf("entries after Clear = %d, want 0", s.Entries)
-	}
-	if _, err := c.Get(testRC(1)); err != nil {
-		t.Fatal(err)
-	}
-	if s := c.Stats(); s.Misses != 2 {
-		t.Errorf("stats = %+v, want a re-simulation after Clear", s)
-	}
-}
-
 func TestGetErrorIsCached(t *testing.T) {
 	c := New()
 	bad := workloads.RunConfig{Spec: workloads.Spec{Name: "no-such-app", Procs: 4}}

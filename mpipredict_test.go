@@ -6,6 +6,11 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
+
+	"mpipredict/internal/serve"
+	"mpipredict/internal/simnet"
+	"mpipredict/internal/stream"
+	"mpipredict/internal/wire"
 )
 
 func TestFacadePredictors(t *testing.T) {
@@ -27,12 +32,6 @@ func TestFacadePredictors(t *testing.T) {
 }
 
 func TestFacadeWorkloadsAndEvaluation(t *testing.T) {
-	if len(Workloads()) != 5 {
-		t.Fatalf("expected 5 workloads, got %d", len(Workloads()))
-	}
-	if len(PaperWorkloads()) != 19 {
-		t.Fatalf("expected the 19 paper configurations, got %d", len(PaperWorkloads()))
-	}
 	recv, err := TypicalReceiver("bt", 9)
 	if err != nil || recv != 3 {
 		t.Errorf("TypicalReceiver(bt,9)=%d,%v want 3 (the paper traces process 3)", recv, err)
@@ -46,25 +45,21 @@ func TestFacadeWorkloadsAndEvaluation(t *testing.T) {
 	if tr.Len() == 0 {
 		t.Fatal("workload trace is empty")
 	}
-	res, err := EvaluateTrace(tr, 3, EvalOptions{})
+
+	res, err := Evaluate(spec, EvalOptions{Iterations: 15})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.App != "bt" || res.Procs != 4 {
+		t.Errorf("metadata wrong: %+v", res)
 	}
 	if res.Accuracy(SenderStream, Logical, 1) < 0.7 {
 		t.Errorf("logical accuracy too low: %.3f", res.Accuracy(SenderStream, Logical, 1))
 	}
-
-	res2, err := Evaluate(spec, EvalOptions{Iterations: 15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.App != "bt" || res2.Procs != 4 {
-		t.Errorf("metadata wrong: %+v", res2)
-	}
 }
 
 func TestFacadeRunProgramAndTraceIO(t *testing.T) {
-	cfg := RuntimeConfig{App: "facade", Procs: 2, Net: NoiselessNetworkConfig()}
+	cfg := RuntimeConfig{App: "facade", Procs: 2, Net: DefaultNetworkConfig()}
 	tr, err := RunProgram(cfg, func(r *Rank) {
 		if r.ID() == 0 {
 			r.Send(1, 0, 128)
@@ -75,34 +70,19 @@ func TestFacadeRunProgramAndTraceIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	if err := SaveTrace(path, tr); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadTrace(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != tr.Len() {
-		t.Errorf("round-trip changed record count: %d vs %d", loaded.Len(), tr.Len())
-	}
 
-	// The columnar store round-trips through the facade too: save as
-	// .mpts, scan it through the store reader, load it via the generic
-	// LoadTrace sniffing point.
+	// The columnar store round-trips through the facade: save as .mpts,
+	// stream it back through OpenTraceSource.
 	storePath := filepath.Join(t.TempDir(), "trace.mpts")
 	if err := SaveTraceStore(storePath, tr); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenTraceStore(storePath)
+	src, err := OpenTraceSource(storePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	if r.Events() != int64(tr.Len()) {
-		t.Errorf("store indexes %d events, trace holds %d", r.Events(), tr.Len())
-	}
-	fromStore, err := LoadTrace(storePath)
+	defer stream.Close(src)
+	fromStore, err := stream.Gather(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +124,7 @@ func TestFacadeScalabilityReplay(t *testing.T) {
 }
 
 func TestFacadeFigure1SmallRun(t *testing.T) {
-	fig, err := Figure1(EvalOptions{Net: NoiselessNetworkConfig(), Iterations: 12})
+	fig, err := Figure1(EvalOptions{Net: simnet.NoiselessConfig(), Iterations: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,22 +162,13 @@ func TestFacadeServing(t *testing.T) {
 	if len(sessions) != 1 {
 		t.Fatalf("loaded %d sessions, want 1", len(sessions))
 	}
-	sp, err := RestoreStrategy(sessions[0].Strategy, sessions[0].Sender)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.Desc().Name != "dpd" {
-		t.Fatalf("default session strategy is %q, want dpd", sp.Desc().Name)
-	}
-	want, _, _ := reg.ForecastInto(nil, "tenant", "stream", 1)
-	if v, ok := sp.Predict(1); !ok || v != want[0].Sender {
-		t.Fatalf("restored predictor predicts (%d, %v), registry says %d", v, ok, want[0].Sender)
-	}
 }
 
-// TestFacadeWire walks the binary-transport exports end to end: a wire
-// listener over a served registry, a pipelined client observing and
-// predicting, and the load generator reporting its throughput.
+// TestFacadeWire walks the binary transport end to end over a facade
+// server: a wire listener over a served registry, a pipelined client
+// observing and predicting, and the load generator reporting its
+// throughput. The transport itself is not exported, so the test drives
+// internal/serve and internal/wire directly.
 func TestFacadeWire(t *testing.T) {
 	reg := NewServeRegistry(ServeConfig{})
 	srv := NewServeServer(reg)
@@ -205,13 +176,13 @@ func TestFacadeWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := NewWireServer(srv)
+	ws := serve.NewWireServer(srv)
 	srv.SetWireAddr(ln.Addr().String())
 	go ws.Serve(ln)
 	defer ws.Close()
 
 	ctx := context.Background()
-	c, err := DialWire(ctx, ln.Addr().String(), WireClientOptions{})
+	c, err := wire.Dial(ctx, ln.Addr().String(), wire.ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +212,7 @@ func TestFacadeWire(t *testing.T) {
 	// published above.
 	hts := httptest.NewServer(srv)
 	defer hts.Close()
-	stats, err := RunLoadGen(ctx, hts.URL, LoadGenOptions{Events: 2048, Sessions: 2})
+	stats, err := serve.LoadGen(ctx, hts.URL, serve.LoadGenOptions{Events: 2048, Sessions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
