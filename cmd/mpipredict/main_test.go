@@ -116,14 +116,20 @@ func TestReplayMatchesInMemoryPathExactly(t *testing.T) {
 
 	// The in-memory path: simulate the same configuration (no disk in
 	// sight) and render the same report.
-	row, err := evalx.Table1Single(
-		workloads.Spec{Name: app, Procs: procs},
-		evalx.Options{Seed: seed, Iterations: iters, Net: simnet.DefaultConfig(), NoCache: true},
-	)
+	receiver, err := workloads.TypicalReceiver(app, procs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inMemory := report.Table1([]evalx.Table1Row{row}) + "\n"
+	tr, err := workloads.Run(workloads.RunConfig{
+		Spec:           workloads.Spec{Name: app, Procs: procs, Iterations: iters},
+		Net:            simnet.DefaultConfig(),
+		Seed:           seed,
+		TraceReceivers: []int{receiver},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inMemory := report.Table1([]evalx.Table1Row{evalx.Table1RowFromTrace(tr, receiver)}) + "\n"
 	if replayOut != inMemory {
 		t.Errorf("replayed Table 1 differs from the in-memory simulation path\n--- replay ---\n%s--- in-memory ---\n%s", replayOut, inMemory)
 	}

@@ -160,7 +160,7 @@ func TestDaemonAccuracyMatchesOfflineAndWarmRestarts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	receiver, err := workloads.ReplayReceiver(tr)
+	receiver, err := workloads.PickReplayReceiver(tr.App, tr.Procs, tr.Receivers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestDaemonAccuracyMatchesOfflineAndWarmRestarts(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "state.mps")
 	d := startDaemon(t, "-snapshot", snap)
 
-	tenant := serve.DefaultTenant(tr)
+	tenant := fmt.Sprintf("%s.%d", tr.App, tr.Procs)
 	stream := serve.StreamName(receiver, trace.Physical)
 	senderHits := make([]int, 5)
 	sizeHits := make([]int, 5)
@@ -638,14 +638,14 @@ func TestDaemonCrashRecoveryResumesAccurately(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	receiver, err := workloads.ReplayReceiver(tr)
+	receiver, err := workloads.PickReplayReceiver(tr.App, tr.Procs, tr.Receivers())
 	if err != nil {
 		t.Fatal(err)
 	}
 	senders := tr.SenderStreamShared(receiver, trace.Physical)
 	sizes := tr.SizeStreamShared(receiver, trace.Physical)
 	offline := evalx.EvaluateStream(senders, nil, 5)
-	tenant := serve.DefaultTenant(tr)
+	tenant := fmt.Sprintf("%s.%d", tr.App, tr.Procs)
 	stream := serve.StreamName(receiver, trace.Physical)
 	half := len(senders) / 2
 

@@ -53,7 +53,7 @@ func TestDaemonWireAccuracyParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	receiver, err := workloads.ReplayReceiver(tr)
+	receiver, err := workloads.PickReplayReceiver(tr.App, tr.Procs, tr.Receivers())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -68,10 +69,7 @@ func TestStdoutJSONLRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := trace.ReadJSONL(strings.NewReader(stdout))
-	if err != nil {
-		t.Fatalf("stdout is not a readable JSONL trace: %v", err)
-	}
+	tr := loadStdout(t, stdout)
 	if tr.App != "bt" || tr.Procs != 4 || tr.Len() == 0 {
 		t.Errorf("decoded %s.%d with %d records", tr.App, tr.Procs, tr.Len())
 	}
@@ -160,4 +158,18 @@ func TestVersionFlag(t *testing.T) {
 	if !strings.HasPrefix(out.String(), "tracegen ") {
 		t.Fatalf("version output = %q", out.String())
 	}
+}
+
+// loadStdout decodes a JSONL trace the command wrote to stdout.
+func loadStdout(t *testing.T, stdout string) *trace.Trace {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "stdout.jsonl")
+	if err := os.WriteFile(path, []byte(stdout), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Load(path)
+	if err != nil {
+		t.Fatalf("stdout is not a readable JSONL trace: %v", err)
+	}
+	return tr
 }

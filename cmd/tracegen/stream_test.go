@@ -135,10 +135,7 @@ func TestStreamedExportToStdout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := trace.ReadJSONL(strings.NewReader(stdout))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := loadStdout(t, stdout)
 	if tr.Len() != 100 || tr.App != "synth" {
 		t.Errorf("decoded %d records of app %q, want 100 of synth", tr.Len(), tr.App)
 	}

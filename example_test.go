@@ -353,7 +353,7 @@ func ExampleNewPredictor() {
 	fmt.Printf("periodicity detected: %v, period = %d messages\n", ok, period)
 
 	fmt.Println("next five senders predicted (+1 ... +5):")
-	for _, pred := range p.PredictSeries(5) {
+	for _, pred := range p.PredictSeriesInto(nil, 5) {
 		if pred.OK {
 			fmt.Printf("  +%d -> rank %d\n", pred.Ahead, pred.Value)
 		} else {
@@ -381,7 +381,7 @@ func ExampleNewMessagePredictor() {
 		mp.Observe(int(pattern[i%len(pattern)]), sizes[i%len(sizes)])
 	}
 	fmt.Println("next three messages (sender, size):")
-	for _, f := range mp.Forecast(3) {
+	for _, f := range mp.ForecastInto(nil, 3) {
 		fmt.Printf("  +%d -> from rank %d, %d bytes (ok=%v)\n", f.Ahead, f.Sender, f.Size, f.OK)
 	}
 	// Output:
@@ -431,7 +431,7 @@ func ExampleRunProgram() {
 				// Before posting the receive, ask the forecaster what it
 				// expects: a prediction-enabled library would use this to
 				// pre-allocate the buffer and pre-grant the send.
-				expected := forecaster.Forecast(1)[0]
+				expected := forecaster.ForecastInto(nil, 1)[0]
 				msg := r.Recv(src, 1)
 				if expected.OK {
 					forecastTotal++

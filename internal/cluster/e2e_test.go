@@ -162,7 +162,7 @@ func scoredRun(t *testing.T, baseURL, tenant, stream, predictor string, senders,
 // single daemon exactly for adaptive meta sessions too.
 func TestClusterScoredAccuracyMatchesOffline(t *testing.T) {
 	tr := corpusTrace(t, "bt.4.mpts")
-	receiver, err := workloads.ReplayReceiver(tr)
+	receiver, err := workloads.PickReplayReceiver(tr.App, tr.Procs, tr.Receivers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestClusterScoredAccuracyMatchesOffline(t *testing.T) {
 	if len(senders) > 400 {
 		senders, sizes = senders[:400], sizes[:400]
 	}
-	tenant := serve.DefaultTenant(tr)
+	tenant := fmt.Sprintf("%s.%d", tr.App, tr.Procs)
 	stream := serve.StreamName(receiver, trace.Physical)
 
 	t.Run("dpd-vs-evalx", func(t *testing.T) {
@@ -239,8 +239,8 @@ func TestClusterChaosOnGatewayBackendHop(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("chaos-hop replay diverged from clean cluster replay: %d vs %d snapshot bytes", len(got), len(want))
 	}
-	tally := chaos.Injected().Snapshot()
-	if chaos.Injected().Total() == 0 {
+	tally := chaos.Injected()
+	if tally == (faultinject.Tally{}) {
 		t.Fatal("fault injector fired zero faults; hop untested")
 	}
 	t.Logf("gateway→backend faults injected: %+v", tally)
@@ -307,7 +307,7 @@ func TestClusterMigrationFromSingleNodeSnapshot(t *testing.T) {
 // daemon that never failed.
 func TestClusterKillOneBackendRecovery(t *testing.T) {
 	tr := corpusTrace(t, "bt.4.mpts")
-	receiver, err := workloads.ReplayReceiver(tr)
+	receiver, err := workloads.PickReplayReceiver(tr.App, tr.Procs, tr.Receivers())
 	if err != nil {
 		t.Fatal(err)
 	}

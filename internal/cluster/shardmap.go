@@ -61,22 +61,6 @@ func (m *ShardMap) Backends() []string { return m.backends }
 // Len returns the member count.
 func (m *ShardMap) Len() int { return len(m.backends) }
 
-// Without returns a new map with one backend removed — the drain/failure
-// view of the cluster. By the rendezvous property, only keys the removed
-// backend owned change hands under the new map.
-func (m *ShardMap) Without(backend string) (*ShardMap, error) {
-	rest := make([]string, 0, len(m.backends))
-	for _, b := range m.backends {
-		if b != backend {
-			rest = append(rest, b)
-		}
-	}
-	if len(rest) == len(m.backends) {
-		return nil, fmt.Errorf("cluster: backend %q is not in the shard map", backend)
-	}
-	return NewShardMap(rest)
-}
-
 // fnv1a64 hashes the rendezvous tuple (backend, tenant, stream) with the
 // same inlined FNV-1a the registry's shard router uses, with a separator
 // byte between fields so ("ab","c") and ("a","bc") score differently.

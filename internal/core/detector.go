@@ -1,7 +1,5 @@
 package core
 
-import "fmt"
-
 // Detector is the Dynamic Periodicity Detector: it maintains a sliding
 // window of the most recent samples of a stream and, for every candidate
 // lag m in 1..MaxLag, the number of positions at which the window differs
@@ -86,8 +84,8 @@ func allowedTable(cfg Config) []int {
 }
 
 // allowedMismatches returns the table allowed[p] = int(tol*p) for
-// p = 0..windowSize. It evaluates the same float expression as
-// PeriodWithin, so every entry is exactly the bound PeriodWithin applies.
+// p = 0..windowSize: the float bound int(tol*(n-m)) on d(m) that a
+// tolerant period search applies, evaluated once per p.
 func allowedMismatches(windowSize int, tol float64) []int {
 	allowed := make([]int, windowSize+1)
 	for p := range allowed {
@@ -95,17 +93,6 @@ func allowedMismatches(windowSize int, tol float64) []int {
 	}
 	return allowed
 }
-
-// Config returns the configuration the detector was built with (after
-// defaulting).
-func (d *Detector) Config() Config { return d.cfg }
-
-// Len returns the number of samples currently held in the window.
-func (d *Detector) Len() int { return d.win.Len() }
-
-// Observed returns the total number of samples ever observed, including
-// those that have since left the window.
-func (d *Detector) Observed() int64 { return d.observed }
 
 // Window returns a copy of the current window contents, oldest first.
 func (d *Detector) Window() []int64 { return d.win.Snapshot() }
@@ -242,36 +229,6 @@ func b2i(b bool) int {
 	return 0
 }
 
-// Distance returns d(m) from equation (1) computed over the current
-// window: the number of positions i for which x[i] != x[i-m]. The result
-// is produced from the incrementally maintained counts; DistanceDirect
-// recomputes it from scratch and is used by the tests to validate the
-// incremental bookkeeping. Distance panics if m is outside 1..MaxLag.
-func (d *Detector) Distance(m int) int {
-	if m < 1 || m > d.cfg.MaxLag {
-		panic(fmt.Sprintf("core: Distance lag %d out of range 1..%d", m, d.cfg.MaxLag))
-	}
-	d.catchUp()
-	return d.mismatch[m]
-}
-
-// DistanceDirect recomputes d(m) by scanning the window. It exists so the
-// incremental counts can be cross-checked; production code should use
-// Distance.
-func (d *Detector) DistanceDirect(m int) int {
-	if m < 1 || m > d.cfg.MaxLag {
-		panic(fmt.Sprintf("core: DistanceDirect lag %d out of range 1..%d", m, d.cfg.MaxLag))
-	}
-	n := d.win.Len()
-	count := 0
-	for i := m; i < n; i++ {
-		if d.win.At(i) != d.win.At(i-m) {
-			count++
-		}
-	}
-	return count
-}
-
 // searchLimit returns the largest lag a period search may report for the
 // current window: at most MaxLag, compared over at least one pair
 // (m < Len()), and repeated at least MinRepeats times (MinRepeats*m <=
@@ -295,28 +252,10 @@ func (d *Detector) Period() (period int, ok bool) {
 	return 0, false
 }
 
-// PeriodWithin returns the smallest lag whose mismatch fraction
-// (d(m) / compared pairs) does not exceed tol. PeriodWithin(0) is
-// equivalent to Period. It is used by StreamPredictor to lock onto mildly
-// perturbed physical-level streams.
-func (d *Detector) PeriodWithin(tol float64) (period int, ok bool) {
-	if tol < 0 {
-		tol = 0
-	}
-	d.catchUp()
-	n, lim := d.win.Len(), d.searchLimit()
-	for m := 1; m <= lim; m++ {
-		if d.mismatch[m] <= int(tol*float64(n-m)) {
-			return m, true
-		}
-	}
-	return 0, false
-}
-
 // lockPeriod is StreamPredictor's period search in one pass over the
 // lags: the smallest strict lag (what Period returns) when there is one,
-// otherwise the smallest lag within the configured LockTolerance (what
-// PeriodWithin(LockTolerance) returns). A strict lag is also within
+// otherwise the smallest lag m within the configured LockTolerance
+// (d(m) <= int(LockTolerance*(n-m))). A strict lag is also within
 // tolerance, so the smallest tolerant lag is found first; the scan then
 // continues from it for a strict lag. The tolerance test reads the
 // allowed table, so it costs an integer compare per lag.
@@ -342,16 +281,6 @@ func (d *Detector) lockPeriod() (period int, ok bool) {
 	return tolerant, true
 }
 
-// Periodogram returns a copy of the mismatch counts indexed by lag
-// (index 0 is unused and always zero). It is useful for offline analysis
-// and for plotting the distance profile of a stream.
-func (d *Detector) Periodogram() []int {
-	d.catchUp()
-	out := make([]int, len(d.mismatch))
-	copy(out, d.mismatch)
-	return out
-}
-
 // Predict returns the value the detector expects k observations in the
 // future (k >= 1), based on the currently detected period: the prediction
 // for x[t+k] is x[t+k-m]. ok is false when no period is detected or k is
@@ -371,12 +300,6 @@ func (d *Detector) Predict(k int) (int64, bool) {
 // k >= 1. The index n-m+((k-1) mod m) always lies in [n-m, n-1].
 func (d *Detector) predictAt(m, k int) int64 {
 	return d.win.At(d.win.Len() - m + (k-1)%m)
-}
-
-// PredictSeries predicts the next count future values. Predictions that
-// cannot be made (no period detected) are reported with OK == false.
-func (d *Detector) PredictSeries(count int) []Prediction {
-	return d.PredictSeriesInto(make([]Prediction, 0, count), count)
 }
 
 // PredictSeriesInto appends the next count predictions to dst and returns

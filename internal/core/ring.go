@@ -28,18 +28,12 @@ func newRing(capacity, spare int) ring {
 	return ring{buf: make([]int64, capacity+spare), size: capacity}
 }
 
-// Cap returns the fixed capacity of the ring.
-func (r *ring) Cap() int { return r.size }
-
 // Spare returns the number of slots beyond Cap(): how many evicted samples
 // the ring can keep readable.
 func (r *ring) Spare() int { return len(r.buf) - r.size }
 
 // Len returns the number of stored samples.
 func (r *ring) Len() int { return r.count }
-
-// Full reports whether the ring holds Cap() samples.
-func (r *ring) Full() bool { return r.count == r.size }
 
 // Push appends x, evicting the oldest sample when full. It returns the
 // evicted sample and whether an eviction happened. The evicted sample
@@ -73,14 +67,6 @@ func (r *ring) At(i int) int64 {
 		panic("core: ring index out of range")
 	}
 	return r.buf[r.wrap(r.head+i)]
-}
-
-// Last returns the most recently pushed sample; ok is false when empty.
-func (r *ring) Last() (int64, bool) {
-	if r.count == 0 {
-		return 0, false
-	}
-	return r.At(r.count - 1), true
 }
 
 // Segments returns the logical range [i, j) of the stored samples (0 is

@@ -116,16 +116,6 @@ func (p *StreamPredictor) Period() (int, bool) {
 	return p.det.Period()
 }
 
-// Pattern returns a copy of the locked pattern, or nil while learning.
-func (p *StreamPredictor) Pattern() []int64 {
-	if p.state != Locked {
-		return nil
-	}
-	out := make([]int64, len(p.pattern))
-	copy(out, p.pattern)
-	return out
-}
-
 // Counters returns a snapshot of the lifetime counters.
 func (p *StreamPredictor) Counters() Counters { return p.counters }
 
@@ -290,11 +280,6 @@ func (p *StreamPredictor) Predict(k int) (int64, bool) {
 	return p.det.Predict(k)
 }
 
-// PredictSeries predicts the next count values, abstentions included.
-func (p *StreamPredictor) PredictSeries(count int) []Prediction {
-	return p.PredictSeriesInto(make([]Prediction, 0, count), count)
-}
-
 // PredictSeriesInto appends the next count predictions to dst and returns
 // it. Hot-path callers pass a reused buffer — typically dst[:0] of the
 // previous call — so steady-state multi-step queries perform no
@@ -309,19 +294,6 @@ func (p *StreamPredictor) PredictSeriesInto(dst []Prediction, count int) []Predi
 		dst = append(dst, Prediction{Ahead: k, Value: v, OK: true})
 	}
 	return dst
-}
-
-// PredictSet returns the multiset of values expected over the next count
-// observations, without regard to order. Section 5.3 of the paper argues
-// that for buffer pre-allocation the receiver only needs to know *which*
-// senders (and which sizes) are coming next, not their exact order; this
-// is the query that application makes.
-func (p *StreamPredictor) PredictSet(count int) ([]int64, bool) {
-	out, ok := p.PredictSetInto(make([]int64, 0, count), count)
-	if !ok {
-		return nil, false
-	}
-	return out, true
 }
 
 // PredictSetInto appends the next-count value multiset to dst and returns

@@ -51,15 +51,6 @@ func (a StreamAccuracy) Accuracy(k int) float64 {
 	return float64(a.Hits[k-1]) / float64(a.Total[k-1])
 }
 
-// Accuracies returns the accuracy for every horizon, +1 first.
-func (a StreamAccuracy) Accuracies() []float64 {
-	out := make([]float64, len(a.Hits))
-	for k := 1; k <= len(a.Hits); k++ {
-		out[k-1] = a.Accuracy(k)
-	}
-	return out
-}
-
 // Mean returns the average accuracy across all horizons.
 func (a StreamAccuracy) Mean() float64 {
 	if len(a.Hits) == 0 {
@@ -114,59 +105,6 @@ func EvaluateStream(stream []int64, factory PredictorFactory, horizons int) Stre
 		p.Observe(stream[i])
 	}
 	return acc
-}
-
-// SetAccuracy measures the order-free accuracy of Section 5.3: before each
-// observation the predictor forecasts the multiset of the next `window`
-// values; the score at that position is the fraction of the actual next
-// `window` values that the forecast covers (multiset intersection /
-// window). Abstentions score zero. The result is the average over all
-// positions with a full window ahead.
-func SetAccuracy(stream []int64, factory PredictorFactory, window int) float64 {
-	if window < 1 {
-		window = DefaultHorizons
-	}
-	if factory == nil {
-		factory = DefaultPredictor
-	}
-	p := factory()
-	var sum float64
-	var count int
-	// predicted is reused (cleared) across positions; allocating it once
-	// instead of once per observation keeps the scoring loop allocation
-	// free.
-	predicted := make(map[int64]int, window)
-	for i := range stream {
-		if i+window <= len(stream) {
-			count++
-			clear(predicted)
-			ok := true
-			for k := 1; k <= window; k++ {
-				v, o := p.Predict(k)
-				if !o {
-					ok = false
-					break
-				}
-				predicted[v]++
-			}
-			if ok {
-				matched := 0
-				for k := 0; k < window; k++ {
-					v := stream[i+k]
-					if predicted[v] > 0 {
-						predicted[v]--
-						matched++
-					}
-				}
-				sum += float64(matched) / float64(window)
-			}
-		}
-		p.Observe(stream[i])
-	}
-	if count == 0 {
-		return 0
-	}
-	return sum / float64(count)
 }
 
 // MismatchFraction returns the fraction of positions at which two streams

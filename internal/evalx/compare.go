@@ -59,7 +59,7 @@ func (r *Runner) CompareStrategies(names []string, specs []workloads.Spec, opts 
 		specs = ComparisonSpecs()
 	}
 	opts = opts.withDefaults()
-	cmp := StrategyComparison{Strategies: names, Horizons: opts.Horizons}
+	cmp := StrategyComparison{Strategies: names, Horizons: DefaultHorizons}
 	cmp.Rows = make([]StrategyComparisonRow, len(specs))
 	for i, spec := range specs {
 		cmp.Rows[i] = StrategyComparisonRow{

@@ -31,8 +31,6 @@ type Options struct {
 	Net simnet.Config
 	// Seed drives the simulation.
 	Seed int64
-	// Horizons is the number of future values to predict (default 5).
-	Horizons int
 	// Strategy selects the predictor by registered strategy name
 	// (internal/strategy: "dpd", "lastvalue", "markov1", "meta"); the
 	// CLIs thread their -predictor flags through it. Empty means the
@@ -43,7 +41,7 @@ type Options struct {
 	// unit tests shrink it.
 	Iterations int
 	// Parallelism bounds the number of experiments evaluated concurrently
-	// by the sweep entry points (Table1, SweepAll, AccuracyFigure). Zero
+	// by the sweep entry points (Table1, SweepAll). Zero
 	// selects GOMAXPROCS; one reproduces the serial behaviour. Results
 	// are identical for every setting — only wall-clock time changes.
 	Parallelism int
@@ -62,9 +60,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Net == (simnet.Config{}) {
 		o.Net = simnet.DefaultConfig()
-	}
-	if o.Horizons == 0 {
-		o.Horizons = DefaultHorizons
 	}
 	return o
 }
@@ -110,7 +105,7 @@ type Result struct {
 	Sender map[trace.Level]StreamAccuracy
 	Size   map[trace.Level]StreamAccuracy
 
-	// SetAccuracy is the order-free accuracy of the next-5 sender set at
+	// SenderSetAccuracy is the order-free accuracy of the next-5 sender set at
 	// the physical level (Section 5.3).
 	SenderSetAccuracy float64
 

@@ -33,11 +33,6 @@ func Table1(opts Options) ([]Table1Row, error) {
 	return NewRunner(opts.Parallelism).Table1(opts)
 }
 
-// Table1Single computes one row of Table 1.
-func Table1Single(spec workloads.Spec, opts Options) (Table1Row, error) {
-	return table1SingleCached(spec, opts.withDefaults(), optsCache(opts))
-}
-
 // table1SingleCached computes one row of Table 1 with an explicit trace
 // source.
 func table1SingleCached(spec workloads.Spec, opts Options, cache *tracecache.Cache) (Table1Row, error) {
@@ -62,11 +57,10 @@ func table1SingleCached(spec workloads.Spec, opts Options, cache *tracecache.Cac
 
 // Table1RowFromTrace characterises one receiver of an existing trace as a
 // Table 1 row, attaching the paper's reference values when the trace's
-// (app, procs) pair appears in the paper. It is the replay-path sibling of
-// Table1Single: the CLIs use it to reproduce Table 1 rows from traces
-// loaded from disk, and because it only reads the trace, a replayed row is
-// identical to the row the in-memory simulation path produces for the same
-// trace.
+// (app, procs) pair appears in the paper. The CLIs use it to reproduce
+// Table 1 rows from traces loaded from disk, and because it only reads the
+// trace, a replayed row is identical to the row the in-memory simulation
+// path produces for the same trace.
 func Table1RowFromTrace(tr *trace.Trace, receiver int) Table1Row {
 	// A TraceSource never fails, so the streaming characterisation cannot
 	// either; the wrapper keeps the historical error-free signature.
@@ -212,20 +206,6 @@ type FigureResult struct {
 	Cells []FigureCell
 }
 
-// AccuracyFigure runs the prediction experiment for every (workload,
-// process count) pair of the paper and collects the accuracy cells for the
-// requested level. Figure 3 is AccuracyFigure(trace.Logical, opts);
-// Figure 4 is AccuracyFigure(trace.Physical, opts). Both figures come
-// from the same runs, so SweepAll can be used to compute them together
-// without simulating twice.
-func AccuracyFigure(level trace.Level, opts Options) (FigureResult, error) {
-	results, err := SweepAll(opts)
-	if err != nil {
-		return FigureResult{}, err
-	}
-	return figureFromResults(level, opts, results), nil
-}
-
 // SweepAll runs the prediction experiment for every paper configuration
 // and returns the per-configuration results, keyed in Table 1 order. The
 // experiments run in parallel (Options.Parallelism) against the shared
@@ -246,7 +226,7 @@ func figureFromResults(level trace.Level, opts Options, results []Result) Figure
 	fig := FigureResult{Level: level}
 	for _, res := range results {
 		for _, kind := range []StreamKind{SenderStream, SizeStream} {
-			for k := 1; k <= opts.Horizons; k++ {
+			for k := 1; k <= DefaultHorizons; k++ {
 				fig.Cells = append(fig.Cells, FigureCell{
 					App:      res.App,
 					Procs:    res.Procs,

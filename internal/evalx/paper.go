@@ -51,18 +51,3 @@ var PaperTable1 = map[table1Key]table1Ref{
 // PaperFigure1Period is the period of the BT.9 sender and size streams at
 // process 3 reported in Section 4.1 / Figure 1.
 const PaperFigure1Period = 18
-
-// PaperFigure3MinAccuracy is the paper's headline claim for the logical
-// level: prediction accuracy above 90% for every benchmark, with the
-// exception of IS on 4 processes (~80%, the stream is too short to learn).
-const PaperFigure3MinAccuracy = 0.90
-
-// PaperFigure3ISException is the approximate accuracy of the IS.4 outlier.
-const PaperFigure3ISException = 0.80
-
-// PhysicalAccuracyOrdering captures the qualitative shape of Figure 4: at
-// the physical level LU, Sweep3D and CG remain highly predictable, BT
-// degrades because it mixes more senders and sizes, and IS is the hardest
-// because collective arrivals are effectively random. The slice lists the
-// workloads from most to least predictable at the physical level.
-var PhysicalAccuracyOrdering = []string{"lu", "sweep3d", "cg", "bt", "is"}

@@ -1,10 +1,11 @@
 package evalx
 
 // Streaming evaluation: the same Section 5 measurement protocol as
-// EvaluateStream/SetAccuracy, reorganized around block sources so a trace
-// of any length is scored in constant memory. The batch entry points
-// (EvaluateTrace, Table1RowFromTrace) are thin wrappers over this path —
-// one code path, pinned hit-for-hit on the golden corpus.
+// EvaluateStream and the order-free set score, reorganized around block
+// sources so a trace of any length is scored in constant memory. The
+// batch entry points (EvaluateTrace, Table1RowFromTrace) are thin
+// wrappers over this path — one code path, pinned hit-for-hit on the
+// golden corpus.
 //
 // The protocol inversion that makes it streamable: the batch scorer asks,
 // at position i, "what will elements i..i+h-1 be?" and looks them up in
@@ -96,11 +97,13 @@ type setWindow struct {
 	predicted map[int64]int
 }
 
-// setScorer reproduces SetAccuracy incrementally: each arriving element
-// opens a window (the next-`window` multiset forecast) and feeds every
-// window still in flight; a window settles when its last element arrives,
-// so windows reaching past the end of the stream never count — exactly
-// the positions the batch loop skips.
+// setScorer scores the order-free set accuracy of Section 5.3
+// incrementally (the tests check it against a direct batch loop,
+// setAccuracy in source_test.go): each arriving element opens a window
+// (the next-`window` multiset forecast) and feeds every window still in
+// flight; a window settles when its last element arrives, so windows
+// reaching past the end of the stream never count — exactly the positions
+// the batch loop skips.
 type setScorer struct {
 	window int
 	p      strategy.Strategy
@@ -215,11 +218,11 @@ func EvaluateSource(open stream.OpenFunc, receiver int, opts Options) (Result, e
 	defer stream.Close(src)
 	md, _ := stream.MetaOf(src)
 
-	logSender := newStreamScorer(factory(), opts.Horizons)
-	logSize := newStreamScorer(factory(), opts.Horizons)
-	phySender := newStreamScorer(factory(), opts.Horizons)
-	phySize := newStreamScorer(factory(), opts.Horizons)
-	set := newSetScorer(factory(), opts.Horizons)
+	logSender := newStreamScorer(factory(), DefaultHorizons)
+	logSize := newStreamScorer(factory(), DefaultHorizons)
+	phySender := newStreamScorer(factory(), DefaultHorizons)
+	phySize := newStreamScorer(factory(), DefaultHorizons)
+	set := newSetScorer(factory(), DefaultHorizons)
 	char := newCharScorer()
 
 	var b stream.EventBlock

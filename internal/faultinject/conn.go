@@ -33,7 +33,7 @@ type Listener struct {
 	net.Listener
 	cfg      Config
 	d        *dice
-	injected Counts
+	injected counts
 }
 
 // NewListener wraps ln. It panics on an invalid config, like the HTTP
@@ -45,8 +45,8 @@ func NewListener(cfg Config, ln net.Listener) *Listener {
 	return &Listener{Listener: ln, cfg: cfg.withDefaults(), d: newDice(cfg.Seed)}
 }
 
-// Injected exposes the fault tallies.
-func (l *Listener) Injected() *Counts { return &l.injected }
+// Injected returns the fault tallies so far.
+func (l *Listener) Injected() Tally { return l.injected.snapshot() }
 
 // Accept implements net.Listener.
 func (l *Listener) Accept() (net.Conn, error) {

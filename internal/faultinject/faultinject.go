@@ -186,20 +186,18 @@ type Transport struct {
 	inner http.RoundTripper
 	dice  *dice
 
-	// Injected counts faults by kind; tests read it to assert the
-	// schedule actually exercised every failure mode.
-	injected Counts
+	// injected counts faults by kind; tests read it through Injected to
+	// assert the schedule actually exercised every failure mode.
+	injected counts
 }
 
-// Counts tallies injected faults by kind. Tally is the plain-value view
-// Snapshot returns, so callers can pass it around (and print it in test
-// failures) without dragging the lock along.
-type Counts struct {
+// counts tallies injected faults by kind under a lock.
+type counts struct {
 	mu sync.Mutex
 	t  Tally
 }
 
-// Tally is one lock-free copy of the fault counters.
+// Tally is one copy of the fault counters.
 type Tally struct {
 	Latency   int64
 	Errors    int64
@@ -208,21 +206,13 @@ type Tally struct {
 	Truncates int64
 }
 
-func (c *Counts) add(f *int64) {
+func (c *counts) add(f *int64) {
 	c.mu.Lock()
 	*f++
 	c.mu.Unlock()
 }
 
-// Total returns the number of injected faults of any kind.
-func (c *Counts) Total() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t.Latency + c.t.Errors + c.t.Resets + c.t.Drops + c.t.Truncates
-}
-
-// Snapshot returns a copy of the tallies safe to read field by field.
-func (c *Counts) Snapshot() Tally {
+func (c *counts) snapshot() Tally {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.t
@@ -241,8 +231,8 @@ func NewTransport(cfg Config, inner http.RoundTripper) *Transport {
 	return &Transport{cfg: cfg.withDefaults(), inner: inner, dice: newDice(cfg.Seed)}
 }
 
-// Injected exposes the fault tallies.
-func (t *Transport) Injected() *Counts { return &t.injected }
+// Injected returns the fault tallies so far.
+func (t *Transport) Injected() Tally { return t.injected.snapshot() }
 
 // errInjected is the transport error of client-side resets and response
 // drops.

@@ -65,7 +65,7 @@ func checkGolden(t *testing.T, name, got string) {
 func TestTable1GoldenFromCorpus(t *testing.T) {
 	var rows []evalx.Table1Row
 	for _, tr := range loadCorpus(t) {
-		receiver, err := workloads.ReplayReceiver(tr)
+		receiver, err := workloads.PickReplayReceiver(tr.App, tr.Procs, tr.Receivers())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestFiguresGoldenFromCorpus(t *testing.T) {
 	opts := evalx.Options{NoCache: true}
 	var results []evalx.Result
 	for _, tr := range loadCorpus(t) {
-		receiver, err := workloads.ReplayReceiver(tr)
+		receiver, err := workloads.PickReplayReceiver(tr.App, tr.Procs, tr.Receivers())
 		if err != nil {
 			t.Fatal(err)
 		}

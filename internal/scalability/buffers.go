@@ -22,24 +22,19 @@ func StaticBufferMemory(procs int, perPeerBytes int64) int64 {
 	return int64(procs-1) * perPeerBytes
 }
 
-// BufferConfig parameterises the prediction-driven buffer manager.
+// forecastHorizon is how many future messages each mechanism's receiver
+// provisions, credits or pre-allocates for.
+const forecastHorizon = 5
+
+// BufferConfig parameterises the prediction-driven buffer manager. Each
+// eager receive buffer is DefaultPerPeerBufferBytes.
 type BufferConfig struct {
-	// PerPeerBytes is the size of one eager receive buffer.
-	PerPeerBytes int64
-	// Horizon is how many future messages the receiver provisions for.
-	Horizon int
 	// Forecaster produces the (sender, size) forecasts. Nil selects a
 	// DPD-based message predictor with default configuration.
 	Forecaster *MessagePredictor
 }
 
 func (c BufferConfig) withDefaults() BufferConfig {
-	if c.PerPeerBytes <= 0 {
-		c.PerPeerBytes = DefaultPerPeerBufferBytes
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = 5
-	}
 	if c.Forecaster == nil {
 		c.Forecaster = NewDPDMessagePredictor(core.DefaultConfig())
 	}
@@ -111,7 +106,7 @@ func NewBufferManager(procs int, cfg BufferConfig) (*BufferManager, error) {
 		procs:     procs,
 		allocated: make(map[int]bool),
 		next:      make(map[int]bool),
-		stats:     BufferStats{StaticMemory: StaticBufferMemory(procs, cfg.PerPeerBytes)},
+		stats:     BufferStats{StaticMemory: StaticBufferMemory(procs, DefaultPerPeerBufferBytes)},
 	}, nil
 }
 
@@ -136,7 +131,7 @@ func (m *BufferManager) OnMessage(sender int, size int64) {
 // maps are reused (swap + clear) so this per-message step does not
 // allocate.
 func (m *BufferManager) reprovision() {
-	m.forecast = m.cfg.Forecaster.ForecastInto(m.forecast[:0], m.cfg.Horizon)
+	m.forecast = m.cfg.Forecaster.ForecastInto(m.forecast[:0], forecastHorizon)
 	for _, f := range m.forecast {
 		if !f.OK {
 			// No complete prediction available: keep the current
@@ -154,7 +149,7 @@ func (m *BufferManager) reprovision() {
 	if len(m.allocated) > m.stats.PeakBuffers {
 		m.stats.PeakBuffers = len(m.allocated)
 	}
-	m.stats.PeakMemory = int64(m.stats.PeakBuffers) * m.cfg.PerPeerBytes
+	m.stats.PeakMemory = int64(m.stats.PeakBuffers) * DefaultPerPeerBufferBytes
 }
 
 // Stats returns the statistics collected so far.

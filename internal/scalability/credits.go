@@ -9,17 +9,12 @@ import (
 
 // CreditConfig parameterises the credit-based flow control of Section 2.2.
 type CreditConfig struct {
-	// Horizon is how many future messages the receiver grants credits for.
-	Horizon int
 	// Forecaster produces the (sender, size) forecasts. Nil selects a
 	// DPD-based message predictor.
 	Forecaster *MessagePredictor
 }
 
 func (c CreditConfig) withDefaults() CreditConfig {
-	if c.Horizon <= 0 {
-		c.Horizon = 5
-	}
 	if c.Forecaster == nil {
 		c.Forecaster = NewDPDMessagePredictor(core.DefaultConfig())
 	}
@@ -128,7 +123,7 @@ func (m *CreditManager) OnMessage(sender int, size int64) {
 // in place and refilled, so the per-message churn of the seed
 // implementation (one map plus one slice per sender per message) is gone.
 func (m *CreditManager) regrant() {
-	m.forecast = m.cfg.Forecaster.ForecastInto(m.forecast[:0], m.cfg.Horizon)
+	m.forecast = m.cfg.Forecaster.ForecastInto(m.forecast[:0], forecastHorizon)
 	for sender, queue := range m.next {
 		m.next[sender] = queue[:0]
 	}

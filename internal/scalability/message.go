@@ -43,11 +43,6 @@ func (m *MessagePredictor) Observe(sender int, size int64) {
 	m.size.Observe(size)
 }
 
-// Forecast predicts the next `count` messages.
-func (m *MessagePredictor) Forecast(count int) []MessageForecast {
-	return m.ForecastInto(make([]MessageForecast, 0, count), count)
-}
-
 // ForecastInto appends the next `count` message forecasts to dst and
 // returns it. The per-message replay loops of the mechanisms pass a
 // reused buffer (dst[:0] of the previous call), so steady-state

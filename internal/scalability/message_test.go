@@ -14,7 +14,7 @@ func TestMessagePredictorForecast(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		mp.Observe(int(senders[i%len(senders)]), sizes[i%len(sizes)])
 	}
-	fc := mp.Forecast(5)
+	fc := mp.ForecastInto(nil, 5)
 	if len(fc) != 5 {
 		t.Fatalf("forecast length=%d want 5", len(fc))
 	}
@@ -38,7 +38,7 @@ func TestMessagePredictorForecast(t *testing.T) {
 func TestMessagePredictorJoinsStreams(t *testing.T) {
 	mp := NewMessagePredictor(strategy.NewLastValue(), strategy.NewLastValue())
 	mp.Observe(3, 100)
-	fc := mp.Forecast(2)
+	fc := mp.ForecastInto(nil, 2)
 	for _, f := range fc {
 		if !f.OK || f.Sender != 3 || f.Size != 100 {
 			t.Errorf("forecast %+v, want sender 3 size 100", f)
@@ -48,7 +48,7 @@ func TestMessagePredictorJoinsStreams(t *testing.T) {
 	// forecast.
 	mp = NewMessagePredictor(strategy.NewLastValue(), strategy.NewDPD(core.DefaultConfig()))
 	mp.Observe(3, 100)
-	if f := mp.Forecast(1)[0]; f.OK || f.Sender != 3 {
+	if f := mp.ForecastInto(nil, 1)[0]; f.OK || f.Sender != 3 {
 		t.Errorf("forecast %+v, want sender 3 and OK false", f)
 	}
 }
@@ -59,8 +59,10 @@ func TestForecastIntoMatchesForecastAndDoesNotAllocate(t *testing.T) {
 	for i := 0; i < 4*core.DefaultConfig().WindowSize; i++ {
 		mp.Observe(i%6, int64(100*(i%6)+8))
 	}
-	plain := mp.Forecast(5)
-	into := mp.ForecastInto(nil, 5)
+	// A reused buffer still holding an older, longer forecast yields the
+	// same forecast as a fresh one.
+	plain := mp.ForecastInto(nil, 5)
+	into := mp.ForecastInto(make([]MessageForecast, 7), 5)[7:]
 	if len(plain) != len(into) {
 		t.Fatalf("length mismatch: %d vs %d", len(plain), len(into))
 	}

@@ -9,25 +9,14 @@ import (
 )
 
 // ProtocolConfig parameterises the rendezvous-elimination advisor of
-// Section 2.3.
+// Section 2.3. Latencies come from simnet.DefaultConfig.
 type ProtocolConfig struct {
-	// Net provides the latency model; the zero value selects
-	// simnet.DefaultConfig.
-	Net simnet.Config
-	// Horizon is how many future messages the receiver pre-allocates for.
-	Horizon int
 	// Forecaster produces the (sender, size) forecasts. Nil selects a
 	// DPD-based message predictor.
 	Forecaster *MessagePredictor
 }
 
 func (c ProtocolConfig) withDefaults() ProtocolConfig {
-	if c.Net == (simnet.Config{}) {
-		c.Net = simnet.DefaultConfig()
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = 5
-	}
 	if c.Forecaster == nil {
 		c.Forecaster = NewDPDMessagePredictor(core.DefaultConfig())
 	}
@@ -90,7 +79,7 @@ type ProtocolAdvisor struct {
 // NewProtocolAdvisor builds an advisor.
 func NewProtocolAdvisor(cfg ProtocolConfig) (*ProtocolAdvisor, error) {
 	cfg = cfg.withDefaults()
-	model, err := simnet.NewModel(cfg.Net)
+	model, err := simnet.NewModel(simnet.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +126,7 @@ func (a *ProtocolAdvisor) consumeGrant(sender int, size int64) bool {
 }
 
 func (a *ProtocolAdvisor) regrant() {
-	a.forecast = a.cfg.Forecaster.ForecastInto(a.forecast[:0], a.cfg.Horizon)
+	a.forecast = a.cfg.Forecaster.ForecastInto(a.forecast[:0], forecastHorizon)
 	for sender, queue := range a.next {
 		a.next[sender] = queue[:0]
 	}

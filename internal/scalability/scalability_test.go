@@ -14,7 +14,7 @@ import (
 func periodicTrace(procs int, pattern []trace.SynthMessage, reps int) *trace.Trace {
 	return trace.Synthesize(trace.SynthConfig{
 		App: "synthetic", Procs: procs, Receiver: 0,
-		Pattern: pattern, Repetitions: reps,
+		Pattern: pattern, Events: len(pattern) * reps,
 	})
 }
 
@@ -138,7 +138,7 @@ func TestProtocolAdvisorEliminatesRendezvous(t *testing.T) {
 		{Sender: 1, Size: big}, {Sender: 2, Size: 512}, {Sender: 3, Size: big},
 	}
 	tr := periodicTrace(8, pattern, 200)
-	stats, err := ReplayProtocol(tr, 0, ProtocolConfig{Net: simnet.NoiselessConfig()})
+	stats, err := ReplayProtocol(tr, 0, ProtocolConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestProtocolAdvisorEliminatesRendezvous(t *testing.T) {
 func TestProtocolAdvisorSmallMessagesUnaffected(t *testing.T) {
 	pattern := []trace.SynthMessage{{Sender: 1, Size: 512}, {Sender: 2, Size: 1024}}
 	tr := periodicTrace(4, pattern, 100)
-	stats, err := ReplayProtocol(tr, 0, ProtocolConfig{Net: simnet.NoiselessConfig()})
+	stats, err := ReplayProtocol(tr, 0, ProtocolConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,10 +176,6 @@ func TestProtocolAdvisorSmallMessagesUnaffected(t *testing.T) {
 }
 
 func TestProtocolAdvisorValidation(t *testing.T) {
-	bad := ProtocolConfig{Net: simnet.Config{LatencyUS: -1, BandwidthBytesPerUS: 1}}
-	if _, err := NewProtocolAdvisor(bad); err == nil {
-		t.Error("invalid network config should be rejected")
-	}
 	tr := trace.New("empty", 4)
 	if _, err := ReplayProtocol(tr, 0, ProtocolConfig{}); err == nil {
 		t.Error("empty trace should be rejected")

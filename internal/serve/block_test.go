@@ -198,7 +198,7 @@ func TestReplaySourceRequiresTenantWithoutMetadata(t *testing.T) {
 	defer srv.Close()
 
 	cfg := trace.SynthConfig{App: "synth", Procs: 2, Receiver: 0,
-		Pattern: []trace.SynthMessage{{Sender: 1, Size: 8}}, Repetitions: 10}
+		Pattern: []trace.SynthMessage{{Sender: 1, Size: 8}}, Events: 10}
 	bare := metaStripper{stream.SynthSource(cfg)}
 	if _, err := ReplaySource(context.Background(), srv.URL, bare, ReplayOptions{}); err == nil || !strings.Contains(err.Error(), "Tenant") {
 		t.Errorf("metadata-less replay without tenant: err = %v", err)

@@ -30,11 +30,11 @@ func fastRetry() ReplayOptions {
 	return ReplayOptions{BatchSize: 1, RetryBase: time.Millisecond, MaxRetries: 20}
 }
 
-// cleanReplayBytes replays the corpus trace into a fresh server and
+// cleanReplayBytes replays the named corpus trace into a fresh server and
 // returns the canonical snapshot encoding of the resulting sessions.
-func cleanReplayBytes(t *testing.T) []byte {
+func cleanReplayBytes(t *testing.T, name string) []byte {
 	t.Helper()
-	tr := corpusTrace(t, "bt.4.mpts")
+	tr := corpusTrace(t, name)
 	srv := NewServer(NewRegistry(Config{}))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -61,7 +61,7 @@ func chaosConfig() faultinject.Config {
 // final session snapshots to be byte-identical to a clean replay's —
 // with every fault class actually exercised along the way.
 func TestChaosReplayConvergesByteIdentical(t *testing.T) {
-	want := cleanReplayBytes(t)
+	want := cleanReplayBytes(t, "bt.4.mpts")
 	tr := corpusTrace(t, "bt.4.mpts")
 
 	srv := NewServer(NewRegistry(Config{}))
@@ -73,9 +73,9 @@ func TestChaosReplayConvergesByteIdentical(t *testing.T) {
 
 	stats, err := ReplaySource(context.Background(), ts.URL, stream.TraceSource(tr), opts)
 	if err != nil {
-		t.Fatalf("chaos replay failed: %v (stats %+v, injected %+v)", err, stats, chaos.Injected().Snapshot())
+		t.Fatalf("chaos replay failed: %v (stats %+v, injected %+v)", err, stats, chaos.Injected())
 	}
-	counts := chaos.Injected().Snapshot()
+	counts := chaos.Injected()
 	if counts.Errors == 0 || counts.Resets == 0 || counts.Drops == 0 || counts.Truncates == 0 {
 		t.Fatalf("fault mix did not exercise every class: %+v", counts)
 	}
@@ -106,7 +106,7 @@ func TestChaosReplayConvergesByteIdentical(t *testing.T) {
 // installs (resets arrive as hijacked-and-closed connections, truncated
 // bodies as cut chunked replies) must converge identically too.
 func TestChaosReplayThroughServerMiddleware(t *testing.T) {
-	want := cleanReplayBytes(t)
+	want := cleanReplayBytes(t, "bt.4.mpts")
 	tr := corpusTrace(t, "bt.4.mpts")
 
 	srv := NewServer(NewRegistry(Config{}))

@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-
-	"mpipredict/internal/core"
 )
 
 // TestConcurrentSessionsMatchSerialRun is the registry's determinism
@@ -23,7 +21,7 @@ func TestConcurrentSessionsMatchSerialRun(t *testing.T) {
 		goroutines = 8
 		events     = 2500
 	)
-	cfg := Config{Shards: 4, Predictor: core.Config{WindowSize: 64, MaxLag: 24}}
+	cfg := Config{Shards: 4}
 
 	// Build per-session streams: periodic with occasional deterministic
 	// perturbations so locks, unlocks and relearns all happen.
@@ -90,7 +88,7 @@ func TestConcurrentSessionsMatchSerialRun(t *testing.T) {
 // goroutines with batches for distinct sessions; totals and final session
 // counts must come out exact.
 func TestConcurrentObserveBatchSharedShard(t *testing.T) {
-	r := NewRegistry(Config{Shards: 1, MaxSessions: 64, Predictor: core.Config{WindowSize: 16, MaxLag: 4}})
+	r := NewRegistry(Config{Shards: 1, MaxSessions: 64})
 	const (
 		goroutines = 16
 		batches    = 50
@@ -129,7 +127,7 @@ func TestConcurrentObserveBatchSharedShard(t *testing.T) {
 // TestConcurrentSweepAndObserve lets idle sweeps race observes; nothing
 // must deadlock, and a session being actively observed must survive.
 func TestConcurrentSweepAndObserve(t *testing.T) {
-	r := NewRegistry(Config{Shards: 2, Predictor: core.Config{WindowSize: 16, MaxLag: 4}})
+	r := NewRegistry(Config{Shards: 2})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)

@@ -41,21 +41,21 @@ type LoadGenOptions struct {
 	// Conns is the number of parallel connections, each owning
 	// Sessions/Conns sessions (default 1).
 	Conns int
-	// BlockLen is the events per observe frame/request (default
-	// stream.BlockLen, the pipeline's native block size).
-	BlockLen int
 	// Predictor is the strategy for created sessions (default
 	// "markov1" — cheap enough that the protocol dominates).
 	Predictor string
-	// Period is the synthetic pattern's cycle length (default 18, the
-	// corpus traces' typical period).
-	Period int
-	// Transport, WireWindow and Client mirror ReplayOptions; Transport
-	// defaults to "auto".
-	Transport  string
-	WireWindow int
-	Client     *http.Client
+	// Transport mirrors ReplayOptions.Transport; it defaults to "auto".
+	Transport string
 }
+
+const (
+	// loadGenBlockLen is the events per observe frame/request: the
+	// pipeline's native block size.
+	loadGenBlockLen = stream.BlockLen
+	// loadGenPeriod is the synthetic pattern's cycle length, the corpus
+	// traces' typical period.
+	loadGenPeriod = 18
+)
 
 // LoadGenStats summarize one load-generation run.
 type LoadGenStats struct {
@@ -96,17 +96,8 @@ func (o LoadGenOptions) withDefaults() LoadGenOptions {
 	if o.Conns > o.Sessions {
 		o.Conns = o.Sessions
 	}
-	if o.BlockLen <= 0 {
-		o.BlockLen = stream.BlockLen
-	}
-	if o.BlockLen > wire.MaxColumnLen {
-		o.BlockLen = wire.MaxColumnLen
-	}
 	if o.Predictor == "" {
 		o.Predictor = "markov1"
-	}
-	if o.Period <= 0 {
-		o.Period = 18
 	}
 	if o.Transport == "" {
 		o.Transport = TransportAuto
@@ -134,7 +125,7 @@ func LoadGen(ctx context.Context, target string, opts LoadGenOptions) (LoadGenSt
 	if after, ok := strings.CutPrefix(target, "wire://"); ok {
 		wireAddr = after
 	} else if opts.Transport != TransportHTTP {
-		addr, err := probeWireAddr(ctx, opts.Client, target)
+		addr, err := probeWireAddr(ctx, nil, target)
 		if err != nil {
 			if opts.Transport == TransportWire {
 				return stats, fmt.Errorf("serve: loadgen: target advertises no wire listener: %w", err)
@@ -202,7 +193,7 @@ func genBlock(senders, sizes []int64, pos int64, period int) {
 
 // loadGenWire drives one wire connection's share of the load.
 func loadGenWire(ctx context.Context, addr string, opts LoadGenOptions, conn, sessions int, budget int64) (events, batches, dups int64, err error) {
-	c, err := wire.Dial(ctx, addr, wire.ClientOptions{Window: opts.WireWindow})
+	c, err := wire.Dial(ctx, addr, wire.ClientOptions{})
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -213,14 +204,14 @@ func loadGenWire(ctx context.Context, addr string, opts LoadGenOptions, conn, se
 	for i := range streams {
 		streams[i] = fmt.Sprintf("g%d/%d", conn, i)
 	}
-	senders := make([]int64, opts.BlockLen)
-	sizes := make([]int64, opts.BlockLen)
+	senders := make([]int64, loadGenBlockLen)
+	sizes := make([]int64, loadGenBlockLen)
 	for s := 0; events < budget; s = (s + 1) % sessions {
-		n := int64(opts.BlockLen)
+		n := int64(loadGenBlockLen)
 		if rest := budget - events; rest < n {
 			n = rest
 		}
-		genBlock(senders[:n], sizes[:n], pos[s], opts.Period)
+		genBlock(senders[:n], sizes[:n], pos[s], loadGenPeriod)
 		seqs[s]++
 		if err := c.ObserveBlock(ctx, opts.Tenant, streams[s], opts.Predictor, seqs[s], senders[:n], sizes[:n]); err != nil {
 			return events, batches, dups, err
@@ -239,25 +230,22 @@ func loadGenWire(ctx context.Context, addr string, opts LoadGenOptions, conn, se
 // loadGenHTTP drives one HTTP client's share of the load — the baseline
 // the wire numbers are compared against.
 func loadGenHTTP(ctx context.Context, baseURL string, opts LoadGenOptions, conn, sessions int, budget int64) (events, batches, dups int64, err error) {
-	client := opts.Client
-	if client == nil {
-		client = NewReplayClient()
-	}
+	client := NewReplayClient()
 	streams := make([]string, sessions)
 	seqs := make([]int64, sessions)
 	pos := make([]int64, sessions)
 	for i := range streams {
 		streams[i] = fmt.Sprintf("g%d/%d", conn, i)
 	}
-	senders := make([]int64, opts.BlockLen)
-	sizes := make([]int64, opts.BlockLen)
+	senders := make([]int64, loadGenBlockLen)
+	sizes := make([]int64, loadGenBlockLen)
 	var body bytes.Buffer
 	for s := 0; events < budget; s = (s + 1) % sessions {
-		n := int64(opts.BlockLen)
+		n := int64(loadGenBlockLen)
 		if rest := budget - events; rest < n {
 			n = rest
 		}
-		genBlock(senders[:n], sizes[:n], pos[s], opts.Period)
+		genBlock(senders[:n], sizes[:n], pos[s], loadGenPeriod)
 		seqs[s]++
 		body.Reset()
 		if err := json.NewEncoder(&body).Encode(observeRequest{

@@ -41,9 +41,6 @@ type Config struct {
 	// before SweepIdle evicts it. Zero selects the 15-minute default; a
 	// negative value disables idle eviction.
 	IdleTTL time.Duration
-	// Predictor configures the DPD predictors of new sessions (zero
-	// fields take core defaults). Strategies without tunables ignore it.
-	Predictor core.Config
 	// Strategy is the prediction strategy of sessions that do not request
 	// one explicitly (strategy.Default when empty). It must be a
 	// registered strategy name; NewRegistry panics otherwise, because an
@@ -146,19 +143,6 @@ type MetaStats struct {
 	Switches int64              `json:"switches"`
 	Leaders  map[string]int     `json:"leaders"`
 	HitRates map[string]float64 `json:"hit_rates"`
-}
-
-// Stats aggregates registry activity since construction.
-type Stats struct {
-	Sessions      int   // live sessions right now
-	Created       int64 // sessions ever created
-	Restored      int64 // sessions restored from snapshots
-	EvictedLRU    int64 // sessions evicted by per-shard capacity pressure
-	EvictedIdle   int64 // sessions evicted by SweepIdle
-	Events        int64 // observed events
-	Forecasts     int64 // answered forecast queries
-	MissedLookups int64 // forecast/info queries for unknown sessions
-	DupBatches    int64 // sequenced batches dropped as duplicate deliveries
 }
 
 type sessionKey struct {
@@ -275,11 +259,11 @@ func (r *Registry) getLocked(sh *shard, tenant, stream, strat string) (*session,
 	if strat == "" {
 		strat = r.cfg.Strategy
 	}
-	sender, err := strategy.New(strat, r.cfg.Predictor)
+	sender, err := strategy.New(strat, core.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
-	size, err := strategy.New(strat, r.cfg.Predictor)
+	size, err := strategy.New(strat, core.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -405,19 +389,6 @@ func (r *Registry) ForecastInto(dst []Forecast, tenant, stream string, k int) (_
 	sh.mu.Unlock()
 	r.forecasts.Add(1)
 	return dst, observed, true
-}
-
-// Info returns the introspection view of one session.
-func (r *Registry) Info(tenant, stream string) (SessionInfo, bool) {
-	sh := r.shardFor(tenant, stream)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s := sh.sessions[sessionKey{tenant, stream}]
-	if s == nil {
-		r.missed.Add(1)
-		return SessionInfo{}, false
-	}
-	return r.infoLocked(s), true
 }
 
 func (r *Registry) infoLocked(s *session) SessionInfo {
@@ -608,21 +579,6 @@ func (r *Registry) MetaStats() MetaStats {
 		}
 	}
 	return stats
-}
-
-// Stats returns a snapshot of the registry counters.
-func (r *Registry) Stats() Stats {
-	return Stats{
-		Sessions:      r.Len(),
-		Created:       r.created.Load(),
-		Restored:      r.restored.Load(),
-		EvictedLRU:    r.evictedLRU.Load(),
-		EvictedIdle:   r.evictedIdle.Load(),
-		Events:        r.events.Load(),
-		Forecasts:     r.forecasts.Load(),
-		MissedLookups: r.missed.Load(),
-		DupBatches:    r.dupBatches.Load(),
-	}
 }
 
 // SnapshotSessions captures every session's predictor state, sorted by

@@ -10,6 +10,7 @@ import (
 
 	"mpipredict/internal/core"
 	"mpipredict/internal/strategy"
+	"mpipredict/internal/trace"
 )
 
 // testClock is a manually advanced time source.
@@ -595,4 +596,50 @@ func TestRegistryHeterogeneousStrategiesConcurrent(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Stats aggregates registry activity since construction.
+type Stats struct {
+	Sessions      int   // live sessions right now
+	Created       int64 // sessions ever created
+	Restored      int64 // sessions restored from snapshots
+	EvictedLRU    int64 // sessions evicted by per-shard capacity pressure
+	EvictedIdle   int64 // sessions evicted by SweepIdle
+	Events        int64 // observed events
+	Forecasts     int64 // answered forecast queries
+	MissedLookups int64 // forecast/info queries for unknown sessions
+	DupBatches    int64 // sequenced batches dropped as duplicate deliveries
+}
+
+// Stats returns a snapshot of the registry counters.
+func (r *Registry) Stats() Stats {
+	return Stats{
+		Sessions:      r.Len(),
+		Created:       r.created.Load(),
+		Restored:      r.restored.Load(),
+		EvictedLRU:    r.evictedLRU.Load(),
+		EvictedIdle:   r.evictedIdle.Load(),
+		Events:        r.events.Load(),
+		Forecasts:     r.forecasts.Load(),
+		MissedLookups: r.missed.Load(),
+		DupBatches:    r.dupBatches.Load(),
+	}
+}
+
+// Info returns the introspection view of one session.
+func (r *Registry) Info(tenant, stream string) (SessionInfo, bool) {
+	sh := r.shardFor(tenant, stream)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	s := sh.sessions[sessionKey{tenant, stream}]
+	if s == nil {
+		r.missed.Add(1)
+		return SessionInfo{}, false
+	}
+	return r.infoLocked(s), true
+}
+
+// DefaultTenant is the tenant ReplaySource derives for a replayed trace.
+func DefaultTenant(tr *trace.Trace) string {
+	return fmt.Sprintf("%s.%d", tr.App, tr.Procs)
 }

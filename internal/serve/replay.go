@@ -48,11 +48,6 @@ func StreamName(receiver int, level trace.Level) string {
 	return fmt.Sprintf("r%d/%s", receiver, level)
 }
 
-// DefaultTenant is the canonical tenant for a replayed trace.
-func DefaultTenant(tr *trace.Trace) string {
-	return fmt.Sprintf("%s.%d", tr.App, tr.Procs)
-}
-
 // DefaultMaxRetries is the per-batch retry budget when
 // ReplayOptions.MaxRetries is zero. With the default backoff schedule it
 // spans several seconds of sustained failure before giving up.
@@ -93,9 +88,6 @@ type ReplayOptions struct {
 	// see no extra probe traffic; the daemon's -transport flag defaults
 	// to "auto".
 	Transport string
-	// WireWindow is the wire transport's pipeline depth in unacked
-	// observe frames. Default wire.DefaultWindow.
-	WireWindow int
 }
 
 // Transport values for ReplayOptions.Transport.

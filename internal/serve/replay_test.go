@@ -78,7 +78,7 @@ func TestReplayedSessionMatchesOfflinePredictorState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	receiver, err := workloads.ReplayReceiver(tr)
+	receiver, err := workloads.PickReplayReceiver(tr.App, tr.Procs, tr.Receivers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestReplayAgainstDeadServer(t *testing.T) {
 // equality with evalx.EvaluateStream on the same stream.
 func TestReplayMatchesEvalxAccuracyOverHTTP(t *testing.T) {
 	tr := corpusTrace(t, "bt.4.mpts")
-	receiver, err := workloads.ReplayReceiver(tr)
+	receiver, err := workloads.PickReplayReceiver(tr.App, tr.Procs, tr.Receivers())
 	if err != nil {
 		t.Fatal(err)
 	}

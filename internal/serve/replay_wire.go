@@ -181,7 +181,7 @@ func (p *wirePoster) ensure(ctx context.Context) error {
 		return nil
 	}
 	p.retire()
-	c, err := wire.Dial(ctx, p.addr, wire.ClientOptions{Window: p.opts.WireWindow})
+	c, err := wire.Dial(ctx, p.addr, wire.ClientOptions{})
 	if err != nil {
 		return p.classify(ctx, err)
 	}

@@ -289,15 +289,6 @@ func NewServerWith(reg *Registry, opts ServerOptions) *Server {
 	return s
 }
 
-// Registry returns the registry the server fronts.
-func (s *Server) Registry() *Registry { return s.reg }
-
-// Handle registers an extra route on the server's mux, inside the
-// resilience envelope (panic recovery, in-flight gate, deadline). The
-// daemon uses it for process-level endpoints; tests use it to exercise
-// the envelope with handlers the server itself would never ship.
-func (s *Server) Handle(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
-
 // SetReady marks the server ready (or not) to take traffic. A server
 // starts ready; a daemon restoring a large snapshot flips it false
 // before listening and true once restore completes, so load balancers
@@ -309,9 +300,6 @@ func (s *Server) SetReady(ready bool) { s.notReady.Store(!ready) }
 // straggler requests still complete normally. Draining is one-way; a
 // draining server is expected to exit.
 func (s *Server) SetDraining() { s.draining.Store(true) }
-
-// Draining reports whether SetDraining has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // PublishVar adds a computed metric to the server's /debug/vars map under
 // the given name, evaluated on every scrape. The daemon uses it to surface

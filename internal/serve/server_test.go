@@ -403,3 +403,14 @@ func TestServerPublishVar(t *testing.T) {
 		t.Fatalf("tracecache var = %s", vars["tracecache"])
 	}
 }
+
+// Registry returns the registry the server fronts.
+func (s *Server) Registry() *Registry { return s.reg }
+
+// Handle registers an extra route on the server's mux, inside the
+// resilience envelope (panic recovery, in-flight gate, deadline), so the
+// tests exercise the envelope with handlers the server would never ship.
+func (s *Server) Handle(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
+
+// Draining reports whether SetDraining has been called.
+func (s *Server) Draining() bool { return s.draining.Load() }

@@ -10,24 +10,14 @@ import (
 	"strings"
 	"testing"
 
-	"mpipredict/internal/core"
 	"mpipredict/internal/strategy"
 )
-
-// codecPredictorConfig keeps codec-test predictor state small: the
-// every-truncation and every-bit-flip sweeps decode (and trial-restore)
-// the file thousands of times, so window geometry directly multiplies
-// their runtime without adding coverage.
-func codecPredictorConfig() core.Config {
-	return core.Config{WindowSize: 48, MaxLag: 16, MinRepeats: 2, ConfirmRuns: 3,
-		HoldDown: 4, LockTolerance: 0.2, RelearnWindow: 12, RelearnMissRate: 0.3}
-}
 
 // sampleSessions builds a deterministic set of session snapshots covering
 // locked, learning and fresh predictor states.
 func sampleSessions(t testing.TB) []SessionSnapshot {
 	t.Helper()
-	r := NewRegistry(Config{Predictor: codecPredictorConfig()})
+	r := NewRegistry(Config{})
 	feedPeriodic(r, "bt.4", "r1/logical", 6, 300)   // locked
 	feedPeriodic(r, "bt.4", "r1/physical", 12, 250) // locked, longer period
 	for i := 0; i < 40; i++ {                       // learning, aperiodic
@@ -75,7 +65,7 @@ func TestSnapshotCodecEmpty(t *testing.T) {
 func TestSnapshotCodecRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 25; trial++ {
-		r := NewRegistry(Config{Predictor: codecPredictorConfig()})
+		r := NewRegistry(Config{})
 		sessions := 1 + rng.Intn(5)
 		for s := 0; s < sessions; s++ {
 			tenant := string(rune('a' + rng.Intn(3)))
@@ -279,7 +269,7 @@ func FuzzSnapshotCodec(f *testing.F) {
 // nobody (a library user can create empty-key sessions directly on a
 // Registry; the HTTP layer cannot).
 func TestWriteSnapshotRejectsEmptyKeys(t *testing.T) {
-	r := NewRegistry(Config{Predictor: codecPredictorConfig()})
+	r := NewRegistry(Config{})
 	observe(r, "", "s", "", Event{Sender: 1, Size: 2})
 	var buf bytes.Buffer
 	if err := WriteSnapshot(&buf, r.SnapshotSessions()); err == nil {
@@ -292,7 +282,7 @@ func TestWriteSnapshotRejectsEmptyKeys(t *testing.T) {
 // snapshot file and a registry restore, so re-delivered batches are
 // still recognized as duplicates after a warm restart.
 func TestSnapshotLastSeqRoundTrip(t *testing.T) {
-	r := NewRegistry(Config{Predictor: codecPredictorConfig()})
+	r := NewRegistry(Config{})
 	for seq := int64(1); seq <= 7; seq++ {
 		if _, _, err := r.ObserveBlockSeq("bt.4", "r1/logical", "", seq,
 			[]int64{seq % 3}, []int64{100 * seq}); err != nil {
@@ -313,7 +303,7 @@ func TestSnapshotLastSeqRoundTrip(t *testing.T) {
 	}
 	// Restore into a fresh registry: a replay of an already applied batch
 	// must be dropped, and the re-snapshot must be byte-identical.
-	fresh := NewRegistry(Config{Predictor: codecPredictorConfig()})
+	fresh := NewRegistry(Config{})
 	if err := fresh.RestoreSessions(got); err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +336,7 @@ func TestWriteSnapshotRejectsNegativeLastSeq(t *testing.T) {
 // returns the sorted snapshots.
 func heterogeneousSessions(t testing.TB) []SessionSnapshot {
 	t.Helper()
-	r := NewRegistry(Config{Predictor: codecPredictorConfig()})
+	r := NewRegistry(Config{})
 	for i, name := range strategy.Names() {
 		stream := "r" + string(rune('0'+i)) + "/logical"
 		for j := 0; j < 300; j++ {
@@ -377,7 +367,7 @@ func TestSnapshotHeterogeneousSessions(t *testing.T) {
 	}
 	// Restore into a fresh registry and snapshot again: the bytes must be
 	// identical (warm-restart fixpoint across mixed strategies).
-	fresh := NewRegistry(Config{Predictor: codecPredictorConfig()})
+	fresh := NewRegistry(Config{})
 	if err := fresh.RestoreSessions(got); err != nil {
 		t.Fatal(err)
 	}

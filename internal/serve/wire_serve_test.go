@@ -22,6 +22,7 @@ import (
 
 	"mpipredict/internal/faultinject"
 	"mpipredict/internal/stream"
+	"mpipredict/internal/trace"
 	"mpipredict/internal/wire"
 )
 
@@ -96,8 +97,26 @@ func TestWireReplayByteIdenticalToHTTP(t *testing.T) {
 // reconnect-and-resend plus the server's sequenced dedup must converge
 // to the exact clean-replay bytes.
 func TestWireChaosReplayConvergesByteIdentical(t *testing.T) {
-	want := cleanReplayBytes(t)
-	tr := corpusTrace(t, "bt.4.mpts")
+	// The wire path is far quieter than HTTP: the pipeline window
+	// collapses a corpus replay into a handful of reads and one ack per
+	// burst. A 10k-event synthetic trace replayed one event per frame
+	// gives the stream chaos over a hundred window round trips, and a
+	// hotter accept fault, so every class fires.
+	src := func() stream.Source {
+		return stream.SynthSource(trace.SynthConfig{App: "synth", Procs: 4, Receiver: 1,
+			Pattern: []trace.SynthMessage{{Sender: 0, Size: 64}, {Sender: 2, Size: 128}, {Sender: 3, Size: 256}},
+			Events:  10_000, SwapProbability: 0.1, Seed: 3})
+	}
+	opts := fastRetry()
+	opts.Transport = TransportWire
+	opts.MaxRetries = 200
+
+	clean := NewServer(NewRegistry(Config{}))
+	_, addr := startWireServer(t, clean)
+	if _, err := ReplaySource(context.Background(), "wire://"+addr, src(), opts); err != nil {
+		t.Fatal(err)
+	}
+	want := encodeSnapshot(t, clean.Registry().SnapshotSessions())
 
 	srv := NewServer(NewRegistry(Config{}))
 	ws := NewWireServer(srv)
@@ -105,25 +124,17 @@ func TestWireChaosReplayConvergesByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The wire path is far quieter than HTTP — pipelining collapses the
-	// whole replay into a handful of reads and one ack per burst — so the
-	// stream chaos runs with a window of one (a roll per frame) and a
-	// hotter accept fault to make every class fire within 66 records.
 	cfg := chaosConfig()
 	cfg.ErrorProb = 0.25
 	chaos := faultinject.NewListener(cfg, ln)
 	go ws.Serve(chaos)
 	defer ws.Shutdown()
 
-	opts := fastRetry()
-	opts.Transport = TransportWire
-	opts.WireWindow = 1
-	opts.MaxRetries = 200
-	stats, err := ReplaySource(context.Background(), "wire://"+ln.Addr().String(), stream.TraceSource(tr), opts)
+	stats, err := ReplaySource(context.Background(), "wire://"+ln.Addr().String(), src(), opts)
 	if err != nil {
-		t.Fatalf("chaos wire replay failed: %v (stats %+v, injected %+v)", err, stats, chaos.Injected().Snapshot())
+		t.Fatalf("chaos wire replay failed: %v (stats %+v, injected %+v)", err, stats, chaos.Injected())
 	}
-	counts := chaos.Injected().Snapshot()
+	counts := chaos.Injected()
 	if counts.Errors == 0 || counts.Resets == 0 || counts.Drops == 0 || counts.Truncates == 0 {
 		t.Fatalf("fault mix did not exercise every class: %+v", counts)
 	}
@@ -234,7 +245,7 @@ func TestWirePredictMatchesHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wireResp, err := c.Predict(ctx, "t", "s", 5)
+	wireResp, err := wirePredict(ctx, c, "t", "s", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,13 +267,13 @@ func TestWirePredictMatchesHTTP(t *testing.T) {
 	}
 	for i, hf := range pr.Forecasts {
 		wf := wireResp.Forecasts[i]
-		if hf.Sender != wf.Sender || hf.SenderOK != wf.SenderOK || hf.Size != wf.Size || hf.SizeOK != wf.SizeOK || hf.OK != wf.OK() {
+		if hf.Sender != wf.Sender || hf.SenderOK != wf.SenderOK || hf.Size != wf.Size || hf.SizeOK != wf.SizeOK || hf.OK != (wf.SenderOK && wf.SizeOK) {
 			t.Fatalf("forecast %d differs: http %+v, wire %+v", i, hf, wf)
 		}
 	}
 
 	// An absent session is found=false, the wire twin of HTTP 404.
-	missing, err := c.Predict(ctx, "t", "nope", 5)
+	missing, err := wirePredict(ctx, c, "t", "nope", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +447,6 @@ func TestLoadGenDeliversExactly(t *testing.T) {
 				Events:    events,
 				Sessions:  8,
 				Conns:     3,
-				BlockLen:  256,
 				Transport: transport,
 			})
 			if err != nil {
@@ -499,7 +509,7 @@ func TestWireReplayCancellationUnwinds(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		opts := ReplayOptions{BatchSize: 1, RetryBase: time.Millisecond, MaxRetries: 1 << 20, WireWindow: 1}
+		opts := ReplayOptions{BatchSize: 1, RetryBase: time.Millisecond, MaxRetries: 1 << 20}
 		_, err := ReplaySource(ctx, fmt.Sprintf("wire://%s", ln.Addr()), stream.TraceSource(tr), opts)
 		done <- err
 	}()
@@ -513,4 +523,12 @@ func TestWireReplayCancellationUnwinds(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("wire replay did not abort within 5s of cancellation")
 	}
+}
+
+// wirePredict sends one predict request and waits for its answer.
+func wirePredict(ctx context.Context, c *wire.Client, tenant, stream string, k int) (*wire.PredictRespView, error) {
+	if err := c.SendPredict(ctx, 0, tenant, stream, k); err != nil {
+		return nil, err
+	}
+	return c.NextPredict(ctx)
 }

@@ -5,14 +5,16 @@ import "mpipredict/internal/trace"
 // Tags used internally by the collective algorithms. They live far above
 // the tag space applications normally use so that collective traffic never
 // matches application point-to-point receives.
+// The blank slots are left to collectives no workload calls (the tests
+// build barrier, allreduce, gather, scatter and allgather on them).
 const (
-	tagBarrier = 1<<20 + iota
+	_ = 1<<20 + iota
 	tagBcast
 	tagReduce
-	tagAllreduce
-	tagGather
-	tagScatter
-	tagAllgather
+	_
+	_
+	_
+	_
 	tagAlltoall
 	tagAlltoallv
 )
@@ -27,26 +29,6 @@ func (r *Rank) collSend(dst, tag int, size int64, op string) {
 
 func (r *Rank) collRecv(src, tag int, op string) Message {
 	return r.recv(src, tag, op)
-}
-
-// controlSize is the payload size used for pure synchronisation messages
-// (barrier and similar), in bytes.
-const controlSize = 4
-
-// Barrier blocks until every rank has entered it. It uses the
-// dissemination algorithm: ceil(log2 p) rounds of exchanges with ranks at
-// increasing distance.
-func (r *Rank) Barrier() {
-	p := r.Size()
-	if p == 1 {
-		return
-	}
-	for k := 1; k < p; k <<= 1 {
-		dst := (r.id + k) % p
-		src := (r.id - k + p) % p
-		r.collSend(dst, tagBarrier, controlSize, "barrier")
-		r.collRecv(src, tagBarrier, "barrier")
-	}
 }
 
 // Bcast broadcasts size bytes from root to every rank using a binomial
@@ -107,120 +89,6 @@ func (r *Rank) Reduce(root int, size int64) {
 			break
 		}
 		mask <<= 1
-	}
-}
-
-// Allreduce combines size bytes across all ranks and leaves the result on
-// every rank. Power-of-two communicator sizes use recursive doubling;
-// other sizes fall back to Reduce-to-0 followed by Bcast-from-0.
-func (r *Rank) Allreduce(size int64) {
-	p := r.Size()
-	if p == 1 {
-		return
-	}
-	if p&(p-1) == 0 {
-		for mask := 1; mask < p; mask <<= 1 {
-			partner := r.id ^ mask
-			r.collSend(partner, tagAllreduce, size, "allreduce")
-			r.collRecv(partner, tagAllreduce, "allreduce")
-		}
-		return
-	}
-	r.reduceAs(0, size, "allreduce")
-	r.bcastAs(0, size, "allreduce")
-}
-
-// reduceAs and bcastAs are Reduce/Bcast variants that keep the caller's
-// operation name in the trace, so an Allreduce on a non-power-of-two
-// communicator is still attributed to "allreduce".
-func (r *Rank) reduceAs(root int, size int64, op string) {
-	p := r.Size()
-	vrank := (r.id - root + p) % p
-	mask := 1
-	for mask < p {
-		if vrank&mask == 0 {
-			vsrc := vrank | mask
-			if vsrc < p {
-				r.collRecv((vsrc+root)%p, tagReduce, op)
-			}
-		} else {
-			vdst := vrank &^ mask
-			r.collSend((vdst+root)%p, tagReduce, size, op)
-			break
-		}
-		mask <<= 1
-	}
-}
-
-func (r *Rank) bcastAs(root int, size int64, op string) {
-	p := r.Size()
-	vrank := (r.id - root + p) % p
-	mask := 1
-	for mask < p {
-		if vrank&mask != 0 {
-			r.collRecv(((vrank-mask)+root)%p, tagBcast, op)
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if vrank+mask < p {
-			r.collSend(((vrank+mask)+root)%p, tagBcast, size, op)
-		}
-		mask >>= 1
-	}
-}
-
-// Gather collects size bytes from every rank onto root (linear algorithm,
-// deterministic source order).
-func (r *Rank) Gather(root int, size int64) {
-	p := r.Size()
-	if root < 0 || root >= p {
-		panic("simmpi: Gather root out of range")
-	}
-	if r.id == root {
-		for src := 0; src < p; src++ {
-			if src == root {
-				continue
-			}
-			r.collRecv(src, tagGather, "gather")
-		}
-		return
-	}
-	r.collSend(root, tagGather, size, "gather")
-}
-
-// Scatter distributes size bytes from root to every other rank (linear).
-func (r *Rank) Scatter(root int, size int64) {
-	p := r.Size()
-	if root < 0 || root >= p {
-		panic("simmpi: Scatter root out of range")
-	}
-	if r.id == root {
-		for dst := 0; dst < p; dst++ {
-			if dst == root {
-				continue
-			}
-			r.collSend(dst, tagScatter, size, "scatter")
-		}
-		return
-	}
-	r.collRecv(root, tagScatter, "scatter")
-}
-
-// Allgather shares size bytes per rank with every rank using the ring
-// algorithm: p-1 steps, each forwarding one block to the right neighbour.
-func (r *Rank) Allgather(size int64) {
-	p := r.Size()
-	if p == 1 {
-		return
-	}
-	right := (r.id + 1) % p
-	left := (r.id - 1 + p) % p
-	for step := 0; step < p-1; step++ {
-		r.collSend(right, tagAllgather, size, "allgather")
-		r.collRecv(left, tagAllgather, "allgather")
 	}
 }
 

@@ -30,10 +30,6 @@ type Config struct {
 	// but memory-hungry for workloads with tens of thousands of messages
 	// per rank.
 	TraceReceivers []int
-	// DisableLogical / DisablePhysical turn off one of the two trace
-	// levels when it is not needed.
-	DisableLogical  bool
-	DisablePhysical bool
 }
 
 // Validate reports whether the run configuration is usable.
@@ -247,7 +243,7 @@ func (e *Engine) flushPhysical() {
 // recordLogical appends a logical-level receive record, if tracing is
 // enabled for the receiver.
 func (e *Engine) recordLogical(rec trace.Record) {
-	if e.cfg.DisableLogical || !e.traced(rec.Receiver) {
+	if !e.traced(rec.Receiver) {
 		return
 	}
 	rec.Level = trace.Logical
@@ -260,7 +256,7 @@ func (e *Engine) recordLogical(rec trace.Record) {
 // messages per receiver, so growing from a nil slice would pay a dozen
 // reallocations per receiver.
 func (e *Engine) recordPhysical(rec trace.Record) {
-	if e.cfg.DisablePhysical || !e.traced(rec.Receiver) {
+	if !e.traced(rec.Receiver) {
 		return
 	}
 	rec.Level = trace.Physical
@@ -270,21 +266,6 @@ func (e *Engine) recordPhysical(rec trace.Record) {
 	}
 	e.physical[rec.Receiver] = append(buf, rec)
 }
-
-// SimulatedTime returns the largest rank clock reached during the run, an
-// estimate of the total execution time of the simulated application.
-func (e *Engine) SimulatedTime() float64 {
-	max := 0.0
-	for _, r := range e.ranks {
-		if r.clock > max {
-			max = r.clock
-		}
-	}
-	return max
-}
-
-// Model returns the network model used by the engine.
-func (e *Engine) Model() *simnet.Model { return e.model }
 
 // rankRNG derives a per-rank random generator from the run seed so that
 // the noise experienced by one rank does not depend on how other ranks

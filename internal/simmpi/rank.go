@@ -61,9 +61,6 @@ type Rank struct {
 	// messages it generates are then recorded with Kind Collective and the
 	// operation name.
 	collectiveOp string
-
-	sentMessages     int64
-	receivedMessages int64
 }
 
 func newRank(e *Engine, id int) *Rank {
@@ -80,15 +77,6 @@ func (r *Rank) ID() int { return r.id }
 
 // Size returns the number of ranks in the run (the communicator size).
 func (r *Rank) Size() int { return len(r.eng.ranks) }
-
-// Clock returns the rank's current virtual time in microseconds.
-func (r *Rank) Clock() float64 { return r.clock }
-
-// SentMessages returns how many messages this rank has sent so far.
-func (r *Rank) SentMessages() int64 { return r.sentMessages }
-
-// ReceivedMessages returns how many messages this rank has received.
-func (r *Rank) ReceivedMessages() int64 { return r.receivedMessages }
 
 // start launches the rank goroutine. The goroutine waits for the engine
 // to resume it before running the program.
@@ -163,7 +151,6 @@ func (r *Rank) send(dst, tag int, size int64, kind trace.Kind, op string) {
 	env := &envelope{sender: r.id, tag: tag, size: size, arrival: arrival, kind: kind, op: op}
 	dst2.mailbox = append(dst2.mailbox, env)
 	dst2.mailboxVersion++
-	r.sentMessages++
 	r.eng.recordPhysical(trace.Record{
 		Time:     arrival,
 		Receiver: dst,
@@ -192,7 +179,6 @@ func (r *Rank) recv(src, tag int, op string) Message {
 				r.clock = env.arrival
 			}
 			r.clock += r.eng.model.RecvOverhead()
-			r.receivedMessages++
 			r.eng.recordLogical(trace.Record{
 				Time:     r.clock,
 				Receiver: r.id,
@@ -250,9 +236,6 @@ type Request struct {
 	done   bool
 	msg    Message
 }
-
-// Done reports whether the request has completed.
-func (q *Request) Done() bool { return q.done }
 
 // Isend starts a non-blocking send. In this runtime the message is
 // buffered immediately, so the returned request is already complete; Wait

@@ -1,7 +1,6 @@
 package simmpi
 
 import (
-	"math/bits"
 	"strings"
 	"testing"
 
@@ -105,13 +104,13 @@ func TestClockAdvancesAndSimulatedTime(t *testing.T) {
 		r.Compute(100)
 		if r.ID() == 0 {
 			r.Send(1, 0, 4096)
-			clock0 = r.Clock()
+			clock0 = r.clock
 		} else {
 			m := r.Recv(0, 0)
 			if m.Arrival <= 0 {
 				panic("arrival time must be positive")
 			}
-			clock1 = r.Clock()
+			clock1 = r.clock
 		}
 	})
 	if err != nil {
@@ -123,37 +122,36 @@ func TestClockAdvancesAndSimulatedTime(t *testing.T) {
 	if clock1 <= clock0 {
 		t.Errorf("receiver clock %g should be behind the message arrival, after sender clock %g", clock1, clock0)
 	}
-	if e.SimulatedTime() < clock1 {
-		t.Errorf("SimulatedTime=%g should be at least the largest rank clock %g", e.SimulatedTime(), clock1)
-	}
-	if e.Model() == nil {
-		t.Error("Model() should not be nil")
-	}
 }
 
 func TestMessageCounters(t *testing.T) {
-	_, err := Run(testConfig(2), func(r *Rank) {
+	tr, err := Run(testConfig(2), func(r *Rank) {
 		if r.ID() == 0 {
 			for i := 0; i < 5; i++ {
 				r.Send(1, 0, 8)
-			}
-			if r.SentMessages() != 5 {
-				panic("sender counter wrong")
-			}
-			if r.ReceivedMessages() != 0 {
-				panic("receiver counter should be zero on rank 0")
 			}
 		} else {
 			for i := 0; i < 5; i++ {
 				r.Recv(0, 0)
 			}
-			if r.ReceivedMessages() != 5 {
-				panic("receive counter wrong")
-			}
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, level := range []trace.Level{trace.Logical, trace.Physical} {
+		if n := len(tr.Filter(0, level)); n != 0 {
+			t.Errorf("%v: rank 0 received %d messages, want 0", level, n)
+		}
+		recs := tr.Filter(1, level)
+		if len(recs) != 5 {
+			t.Errorf("%v: rank 1 received %d messages, want 5", level, len(recs))
+		}
+		for _, rec := range recs {
+			if rec.Sender != 0 {
+				t.Errorf("%v: rank 1 received from %d, want 0", level, rec.Sender)
+			}
+		}
 	}
 }
 
@@ -401,13 +399,13 @@ func TestIsendIrecvWaitall(t *testing.T) {
 				panic("waitall returned messages out of request order")
 			}
 			for _, q := range reqs {
-				if !q.Done() {
+				if !q.done {
 					panic("request should be done after Waitall")
 				}
 			}
 		} else {
 			q := r.Isend(0, 0, 512)
-			if !q.Done() {
+			if !q.done {
 				panic("isend requests complete immediately in this runtime")
 			}
 			r.Wait(q)
@@ -497,9 +495,9 @@ func TestRendezvousChargesSenderClock(t *testing.T) {
 	_, err := Run(testConfig(2), func(r *Rank) {
 		if r.ID() == 0 {
 			r.Send(1, 0, 16*1024) // at the limit: eager
-			eagerClock = r.Clock()
+			eagerClock = r.clock
 			r.Send(1, 0, 64*1024) // above: rendezvous
-			rdvClock = r.Clock()
+			rdvClock = r.clock
 		} else {
 			r.Recv(0, 0)
 			r.Recv(0, 0)
@@ -537,78 +535,7 @@ func TestTraceReceiverFilter(t *testing.T) {
 	}
 }
 
-func TestDisableLevels(t *testing.T) {
-	cfg := testConfig(2)
-	cfg.DisablePhysical = true
-	tr, err := Run(cfg, func(r *Rank) {
-		if r.ID() == 0 {
-			r.Send(1, 0, 8)
-		} else {
-			r.Recv(0, 0)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Filter(1, trace.Physical)) != 0 {
-		t.Error("physical records should be disabled")
-	}
-	if len(tr.Filter(1, trace.Logical)) != 1 {
-		t.Error("logical records should still be present")
-	}
-
-	cfg2 := testConfig(2)
-	cfg2.DisableLogical = true
-	tr2, err := Run(cfg2, func(r *Rank) {
-		if r.ID() == 0 {
-			r.Send(1, 0, 8)
-		} else {
-			r.Recv(0, 0)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr2.Filter(1, trace.Logical)) != 0 {
-		t.Error("logical records should be disabled")
-	}
-	if len(tr2.Filter(1, trace.Physical)) != 1 {
-		t.Error("physical records should still be present")
-	}
-}
-
 // ---- collectives ----
-
-func logOf(p int) int {
-	// number of dissemination/binomial rounds
-	return bits.Len(uint(p - 1))
-}
-
-func TestBarrierMessageCounts(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 6, 8, 16} {
-		tr, err := Run(testConfig(p), func(r *Rank) {
-			r.Barrier()
-		})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		for rank := 0; rank < p; rank++ {
-			got := len(tr.Filter(rank, trace.Logical))
-			want := 0
-			if p > 1 {
-				want = logOf(p)
-			}
-			if got != want {
-				t.Errorf("p=%d rank %d received %d barrier messages, want %d", p, rank, got, want)
-			}
-			for _, rec := range tr.Filter(rank, trace.Logical) {
-				if rec.Kind != trace.Collective || rec.Op != "barrier" {
-					t.Errorf("barrier record mislabelled: %+v", rec)
-				}
-			}
-		}
-	}
-}
 
 func TestBcastMessageCounts(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 7, 8, 16} {
@@ -651,84 +578,6 @@ func TestReduceMessageCounts(t *testing.T) {
 		}
 		if total != p-1 {
 			t.Errorf("p=%d: total reduce messages=%d want %d", p, total, p-1)
-		}
-	}
-}
-
-func TestAllreduceCounts(t *testing.T) {
-	// Power of two: recursive doubling means every rank receives log2(p)
-	// messages. Non power of two: reduce+bcast means p-1 messages twice in
-	// total.
-	tr, err := Run(testConfig(8), func(r *Rank) { r.Allreduce(2048) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rank := 0; rank < 8; rank++ {
-		if got := len(tr.Filter(rank, trace.Logical)); got != 3 {
-			t.Errorf("allreduce on 8 ranks: rank %d received %d messages, want 3", rank, got)
-		}
-	}
-	tr2, err := Run(testConfig(6), func(r *Rank) { r.Allreduce(2048) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for rank := 0; rank < 6; rank++ {
-		recs := tr2.Filter(rank, trace.Logical)
-		total += len(recs)
-		for _, rec := range recs {
-			if rec.Op != "allreduce" {
-				t.Errorf("non-power-of-two allreduce should still be labelled allreduce, got %q", rec.Op)
-			}
-		}
-	}
-	if total != 2*(6-1) {
-		t.Errorf("allreduce on 6 ranks: total messages=%d want %d", total, 2*(6-1))
-	}
-}
-
-func TestGatherScatterCounts(t *testing.T) {
-	p := 5
-	tr, err := Run(testConfig(p), func(r *Rank) {
-		r.Gather(2, 512)
-		r.Scatter(2, 256)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rank := 0; rank < p; rank++ {
-		recs := tr.Filter(rank, trace.Logical)
-		if rank == 2 {
-			if len(recs) != p-1 {
-				t.Errorf("gather root received %d messages, want %d", len(recs), p-1)
-			}
-		} else {
-			if len(recs) != 1 {
-				t.Errorf("non-root rank %d received %d messages, want 1 (from scatter)", rank, len(recs))
-			}
-			if recs[0].Size != 256 || recs[0].Sender != 2 {
-				t.Errorf("scatter message wrong: %+v", recs[0])
-			}
-		}
-	}
-}
-
-func TestAllgatherCounts(t *testing.T) {
-	p := 6
-	tr, err := Run(testConfig(p), func(r *Rank) { r.Allgather(128) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rank := 0; rank < p; rank++ {
-		recs := tr.Filter(rank, trace.Logical)
-		if len(recs) != p-1 {
-			t.Errorf("allgather: rank %d received %d messages, want %d", rank, len(recs), p-1)
-		}
-		left := (rank - 1 + p) % p
-		for _, rec := range recs {
-			if rec.Sender != left {
-				t.Errorf("ring allgather should only receive from the left neighbour %d, got %d", left, rec.Sender)
-			}
 		}
 	}
 }
@@ -793,8 +642,8 @@ func TestCollectiveRootValidation(t *testing.T) {
 	for name, prog := range map[string]Program{
 		"bcast":   func(r *Rank) { r.Bcast(9, 8) },
 		"reduce":  func(r *Rank) { r.Reduce(-1, 8) },
-		"gather":  func(r *Rank) { r.Gather(100, 8) },
-		"scatter": func(r *Rank) { r.Scatter(-2, 8) },
+		"gather":  func(r *Rank) { r.gather(100, 8) },
+		"scatter": func(r *Rank) { r.scatter(-2, 8) },
 	} {
 		if _, err := Run(testConfig(3), prog); err == nil {
 			t.Errorf("%s with an out-of-range root should fail", name)
@@ -804,14 +653,14 @@ func TestCollectiveRootValidation(t *testing.T) {
 
 func TestSingleRankCollectivesAreNoOps(t *testing.T) {
 	tr, err := Run(testConfig(1), func(r *Rank) {
-		r.Barrier()
+		r.barrier()
 		r.Bcast(0, 8)
 		r.Reduce(0, 8)
-		r.Allreduce(8)
-		r.Allgather(8)
+		r.allreduce(8)
+		r.allgather(8)
 		r.Alltoall(8)
-		r.Gather(0, 8)
-		r.Scatter(0, 8)
+		r.gather(0, 8)
+		r.scatter(0, 8)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -833,7 +682,7 @@ func TestCollectivesMixedWithPointToPoint(t *testing.T) {
 			r.Send(right, 1, 1000)
 			r.Recv(left, 1)
 			if iter%5 == 4 {
-				r.Allreduce(16)
+				r.allreduce(16)
 			}
 		}
 	})
@@ -851,8 +700,6 @@ func TestCollectivesMixedWithPointToPoint(t *testing.T) {
 
 func BenchmarkPingPong(b *testing.B) {
 	cfg := testConfig(2)
-	cfg.DisableLogical = true
-	cfg.DisablePhysical = true
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_, err := Run(cfg, func(r *Rank) {
@@ -874,8 +721,6 @@ func BenchmarkPingPong(b *testing.B) {
 
 func BenchmarkAlltoall16(b *testing.B) {
 	cfg := testConfig(16)
-	cfg.DisableLogical = true
-	cfg.DisablePhysical = true
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(cfg, func(r *Rank) { r.Alltoall(1024) }); err != nil {

@@ -123,19 +123,6 @@ func NewModel(cfg Config) (*Model, error) {
 	return &Model{cfg: cfg}, nil
 }
 
-// MustModel is NewModel for configurations known to be valid at compile
-// time (tests, defaults); it panics on error.
-func MustModel(cfg Config) *Model {
-	m, err := NewModel(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// Config returns the configuration the model was built from.
-func (m *Model) Config() Config { return m.cfg }
-
 // noisy multiplies base by a truncated Gaussian factor with relative
 // standard deviation frac. The factor is clamped to [0.1, 3] so extreme
 // draws cannot produce negative or absurd times.

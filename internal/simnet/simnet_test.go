@@ -39,16 +39,10 @@ func TestNewModelRejectsInvalidConfig(t *testing.T) {
 	if _, err := NewModel(cfg); err == nil {
 		t.Error("NewModel should reject an invalid config")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustModel should panic on an invalid config")
-		}
-	}()
-	MustModel(cfg)
 }
 
 func TestTransferTimeDeterministicWithoutJitter(t *testing.T) {
-	m := MustModel(NoiselessConfig())
+	m := mustModel(t, NoiselessConfig())
 	rng := rand.New(rand.NewSource(1))
 	want := 30 + 1000.0/100
 	if got := m.TransferTime(rng, 1000); got != want {
@@ -63,7 +57,7 @@ func TestTransferTimeDeterministicWithoutJitter(t *testing.T) {
 }
 
 func TestTransferTimeGrowsWithSize(t *testing.T) {
-	m := MustModel(NoiselessConfig())
+	m := mustModel(t, NoiselessConfig())
 	small := m.TransferTime(nil, 1024)
 	large := m.TransferTime(nil, 1024*1024)
 	if large <= small {
@@ -74,7 +68,7 @@ func TestTransferTimeGrowsWithSize(t *testing.T) {
 func TestTransferTimeJitterIsBoundedAndPositive(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.JitterFrac = 0.5
-	m := MustModel(cfg)
+	m := mustModel(t, cfg)
 	rng := rand.New(rand.NewSource(7))
 	base := m.TransferTime(nil, 4096)
 	for i := 0; i < 5000; i++ {
@@ -89,14 +83,14 @@ func TestTransferTimeJitterIsBoundedAndPositive(t *testing.T) {
 }
 
 func TestComputeTime(t *testing.T) {
-	m := MustModel(NoiselessConfig())
+	m := mustModel(t, NoiselessConfig())
 	if got := m.ComputeTime(nil, 500); got != 500 {
 		t.Errorf("noiseless compute time=%g want 500", got)
 	}
 	if got := m.ComputeTime(nil, -10); got != 0 {
 		t.Errorf("negative base clamps to 0, got %g", got)
 	}
-	noisy := MustModel(DefaultConfig())
+	noisy := mustModel(t, DefaultConfig())
 	rng := rand.New(rand.NewSource(3))
 	var different bool
 	for i := 0; i < 100; i++ {
@@ -111,7 +105,7 @@ func TestComputeTime(t *testing.T) {
 }
 
 func TestProtocolSelection(t *testing.T) {
-	m := MustModel(DefaultConfig())
+	m := mustModel(t, DefaultConfig())
 	if m.UsesRendezvous(16 * 1024) {
 		t.Error("a message exactly at the eager limit should be eager")
 	}
@@ -124,7 +118,7 @@ func TestProtocolSelection(t *testing.T) {
 }
 
 func TestRendezvousHandshakeCost(t *testing.T) {
-	m := MustModel(NoiselessConfig())
+	m := mustModel(t, NoiselessConfig())
 	got := m.RendezvousHandshake(nil)
 	want := 2*30.0 + 10.0
 	if got != want {
@@ -133,7 +127,7 @@ func TestRendezvousHandshakeCost(t *testing.T) {
 }
 
 func TestPointToPointLatencyRendezvousVsEager(t *testing.T) {
-	m := MustModel(NoiselessConfig())
+	m := mustModel(t, NoiselessConfig())
 	size := int64(64 * 1024)
 	rdv := m.PointToPointLatency(size, false)
 	eager := m.PointToPointLatency(size, true)
@@ -150,19 +144,16 @@ func TestPointToPointLatencyRendezvousVsEager(t *testing.T) {
 }
 
 func TestSendRecvOverheadAccessors(t *testing.T) {
-	m := MustModel(DefaultConfig())
+	m := mustModel(t, DefaultConfig())
 	if m.SendOverhead() != 15 || m.RecvOverhead() != 10 {
 		t.Errorf("overheads=%g/%g want 15/10", m.SendOverhead(), m.RecvOverhead())
-	}
-	if m.Config().LatencyUS != 30 {
-		t.Errorf("Config() should round-trip, latency=%g", m.Config().LatencyUS)
 	}
 }
 
 // Property: transfer time is always positive and monotone in expectation:
 // the noiseless time for a larger message is never smaller.
 func TestTransferTimeProperties(t *testing.T) {
-	m := MustModel(NoiselessConfig())
+	m := mustModel(t, NoiselessConfig())
 	f := func(a, b uint32) bool {
 		sa, sb := int64(a%(1<<20)), int64(b%(1<<20))
 		ta, tb := m.TransferTime(nil, sa), m.TransferTime(nil, sb)
@@ -177,4 +168,14 @@ func TestTransferTimeProperties(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// mustModel is NewModel for configurations the test knows are valid.
+func mustModel(t *testing.T, cfg Config) *Model {
+	t.Helper()
+	m, err := NewModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

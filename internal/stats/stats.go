@@ -1,75 +1,14 @@
-// Package stats provides small numeric helpers used across the
-// mpipredict modules: running moments, histograms over discrete values,
-// and deterministic pseudo-random helpers for the simulation substrate.
+// Package stats provides the histogram over discrete values that
+// characterises message-size and sender streams (Table 1).
 //
-// The package is intentionally dependency-free (stdlib only) and all
-// types are safe for single-goroutine use; the discrete-event engine is
-// sequential so no locking is required here.
+// The package is dependency-free (stdlib only) and its type is safe for
+// single-goroutine use.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
-
-// Running accumulates count, mean and variance of a stream of float64
-// observations using Welford's online algorithm, which is numerically
-// stable for long streams.
-type Running struct {
-	n    int64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add incorporates one observation.
-func (r *Running) Add(x float64) {
-	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
-	delta := x - r.mean
-	r.mean += delta / float64(r.n)
-	r.m2 += delta * (x - r.mean)
-}
-
-// N returns the number of observations seen so far.
-func (r *Running) N() int64 { return r.n }
-
-// Mean returns the arithmetic mean of the observations, or 0 when empty.
-func (r *Running) Mean() float64 { return r.mean }
-
-// Var returns the (population) variance of the observations.
-func (r *Running) Var() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
-// StdDev returns the population standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Var()) }
-
-// Min returns the smallest observation, or 0 when empty.
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest observation, or 0 when empty.
-func (r *Running) Max() float64 { return r.max }
-
-// String renders a compact summary, convenient for report tables.
-func (r *Running) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f",
-		r.n, r.Mean(), r.StdDev(), r.min, r.max)
-}
 
 // Hist counts occurrences of discrete int64 values. It is used to
 // characterise message-size and sender streams (Table 1 of the paper
@@ -90,33 +29,8 @@ func (h *Hist) Add(v int64) {
 	h.total++
 }
 
-// AddN counts n occurrences of v.
-func (h *Hist) AddN(v int64, n int64) {
-	if n <= 0 {
-		return
-	}
-	h.counts[v] += n
-	h.total += n
-}
-
-// Total returns the number of observations.
-func (h *Hist) Total() int64 { return h.total }
-
 // Distinct returns the number of distinct values observed.
 func (h *Hist) Distinct() int { return len(h.counts) }
-
-// Count returns the number of occurrences of v.
-func (h *Hist) Count(v int64) int64 { return h.counts[v] }
-
-// Values returns the distinct values sorted ascending.
-func (h *Hist) Values() []int64 {
-	out := make([]int64, 0, len(h.counts))
-	for v := range h.counts {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // Frequent returns the smallest set of values whose cumulative frequency
 // reaches the given coverage fraction (0 < coverage <= 1), sorted by
@@ -159,89 +73,4 @@ func (h *Hist) Frequent(coverage float64) []int64 {
 		acc += p.c
 	}
 	return out
-}
-
-// Mode returns the most frequent value and its count. Ties are broken by
-// the smaller value. ok is false for an empty histogram.
-func (h *Hist) Mode() (value int64, count int64, ok bool) {
-	if h.total == 0 {
-		return 0, 0, false
-	}
-	first := true
-	for v, c := range h.counts {
-		if first || c > count || (c == count && v < value) {
-			value, count = v, c
-			first = false
-		}
-	}
-	return value, count, true
-}
-
-// Entropy returns the Shannon entropy (bits) of the empirical
-// distribution. Low entropy indicates a highly concentrated stream
-// (few distinct senders/sizes), which the paper identifies as one reason
-// LU and Sweep3D stay predictable even at the physical level.
-func (h *Hist) Entropy() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var e float64
-	tot := float64(h.total)
-	for _, c := range h.counts {
-		p := float64(c) / tot
-		e -= p * math.Log2(p)
-	}
-	return e
-}
-
-// Percentile returns the p-th percentile (0..100) of an int64 slice using
-// the nearest-rank method. The slice is not modified.
-func Percentile(xs []int64, p float64) int64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := make([]int64, len(xs))
-	copy(cp, xs)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	if p <= 0 {
-		return cp[0]
-	}
-	if p >= 100 {
-		return cp[len(cp)-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(cp))))
-	if rank < 1 {
-		rank = 1
-	}
-	return cp[rank-1]
-}
-
-// MeanInt64 returns the arithmetic mean of an int64 slice (0 when empty).
-func MeanInt64(xs []int64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += float64(x)
-	}
-	return s / float64(len(xs))
-}
-
-// DistinctInt64 returns the number of distinct values in xs.
-func DistinctInt64(xs []int64) int {
-	seen := make(map[int64]struct{}, len(xs))
-	for _, x := range xs {
-		seen[x] = struct{}{}
-	}
-	return len(seen)
-}
-
-// DistinctInts returns the number of distinct values in xs.
-func DistinctInts(xs []int) int {
-	seen := make(map[int]struct{}, len(xs))
-	for _, x := range xs {
-		seen[x] = struct{}{}
-	}
-	return len(seen)
 }

@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"runtime"
 	"testing"
 
 	"mpipredict/internal/core"
@@ -95,6 +96,39 @@ func TestStrategyPredictSetIntoZeroAllocs(t *testing.T) {
 			if allocs != 0 {
 				t.Errorf("%s: PredictSetInto allocates %.2f objects per call, want 0", name, allocs)
 			}
+		})
+	}
+}
+
+// TestWarmedStrategyMemoryBudget pins the heap a warmed session strategy
+// costs: TotalAlloc per instance over 32 instances trained by warmed. A
+// serving session holds two (sender, size), and a registry up to 65536
+// sessions, so a per-instance regression multiplies. Measured with go1.24
+// on linux/amd64: 4726 bytes for markov1 and 15678 for meta (up to 4758
+// and 16026 under -race); the budgets leave about 30% and 17% slack.
+func TestWarmedStrategyMemoryBudget(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		budget uint64
+	}{
+		{"markov1", 6 << 10},
+		{"meta", 18 << 10},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const n = 32
+			held := make([]Strategy, n)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := range held {
+				held[i] = warmed(t, c.name)
+			}
+			runtime.ReadMemStats(&after)
+			perInstance := (after.TotalAlloc - before.TotalAlloc) / n
+			t.Logf("%d bytes per warmed %s instance", perInstance, c.name)
+			if perInstance > c.budget {
+				t.Errorf("a warmed %s instance allocated %d bytes, budget %d", c.name, perInstance, c.budget)
+			}
+			runtime.KeepAlive(held)
 		})
 	}
 }

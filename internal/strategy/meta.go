@@ -289,12 +289,6 @@ func (m *Meta) Reset() {
 	m.alloc()
 }
 
-// Leader returns the name of the expert predictions currently route to.
-func (m *Meta) Leader() string { return m.names[m.leader] }
-
-// Switches returns how many times the route has changed experts.
-func (m *Meta) Switches() int64 { return m.switches }
-
 // scoredFor returns how many targets horizon k has scored so far, capped
 // at the window (the divisor of every windowed rate).
 func (m *Meta) scoredFor(k int) int {

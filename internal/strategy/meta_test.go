@@ -176,8 +176,8 @@ func TestMetaRoutingDeterminism(t *testing.T) {
 		if i%50 != 0 {
 			continue
 		}
-		if a.Leader() != b.Leader() || a.Switches() != b.Switches() {
-			t.Fatalf("step %d: routes diverged (%s/%d vs %s/%d)", i, a.Leader(), a.Switches(), b.Leader(), b.Switches())
+		if a.names[a.leader] != b.names[b.leader] || a.switches != b.switches {
+			t.Fatalf("step %d: routes diverged (%s/%d vs %s/%d)", i, a.names[a.leader], a.switches, b.names[b.leader], b.switches)
 		}
 		if !reflect.DeepEqual(a.RouteInfo(), b.RouteInfo()) {
 			t.Fatalf("step %d: RouteInfo diverged", i)
@@ -186,7 +186,7 @@ func TestMetaRoutingDeterminism(t *testing.T) {
 			t.Fatalf("step %d: snapshots diverged", i)
 		}
 	}
-	if a.Switches() == 0 {
+	if a.switches == 0 {
 		t.Fatal("the two-regime stream produced no route switches")
 	}
 }
@@ -223,8 +223,8 @@ func TestMetaSnapshotMidWindowRoundTrip(t *testing.T) {
 		}
 		orig.Observe(x)
 		restored.Observe(x)
-		if orig.Leader() != rm.Leader() || orig.Switches() != rm.Switches() {
-			t.Fatalf("step %d: original route %s/%d, restored %s/%d", 37+i, orig.Leader(), orig.Switches(), rm.Leader(), rm.Switches())
+		if orig.names[orig.leader] != rm.names[rm.leader] || orig.switches != rm.switches {
+			t.Fatalf("step %d: original route %s/%d, restored %s/%d", 37+i, orig.names[orig.leader], orig.switches, rm.names[rm.leader], rm.switches)
 		}
 	}
 	if !bytes.Equal(orig.Snapshot(), restored.Snapshot()) {
@@ -273,10 +273,10 @@ func TestMetaConvergesOnTwoRegimeTrace(t *testing.T) {
 			t.Errorf("meta mean accuracy %.4f does not beat %s's %.4f", metaMean, name, mean)
 		}
 	}
-	if got := m.Leader(); got != "lastvalue" {
+	if got := m.names[m.leader]; got != "lastvalue" {
 		t.Errorf("final leader = %q, want the second regime's winner %q", got, "lastvalue")
 	}
-	if m.Switches() < 1 {
+	if m.switches < 1 {
 		t.Error("meta never switched experts across the regime change")
 	}
 }
@@ -296,7 +296,7 @@ func TestMetaReporters(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		m.Observe(int64(i % 6))
 	}
-	if m.Leader() == "dpd" {
+	if m.names[m.leader] == "dpd" {
 		if _, ok := s.(PeriodReporter).PredictorPeriod(); !ok {
 			t.Error("dpd leader locked on a period-6 stream but meta reports none")
 		}
@@ -306,7 +306,7 @@ func TestMetaReporters(t *testing.T) {
 		}
 	}
 	info := m.RouteInfo()
-	if info.Leader != m.Leader() || info.Window != MetaWindow {
+	if info.Leader != m.names[m.leader] || info.Window != MetaWindow {
 		t.Errorf("RouteInfo = %+v", info)
 	}
 	for _, e := range info.Experts {
@@ -332,7 +332,7 @@ func TestMetaResetClearsRoute(t *testing.T) {
 	if !bytes.Equal(m.Snapshot(), fresh) {
 		t.Fatal("Reset did not restore the initial snapshot bytes")
 	}
-	if m.Switches() != 0 || m.Leader() != m.names[0] {
-		t.Fatalf("Reset left route %s/%d", m.Leader(), m.Switches())
+	if m.switches != 0 || m.names[m.leader] != m.names[0] {
+		t.Fatalf("Reset left route %s/%d", m.names[m.leader], m.switches)
 	}
 }

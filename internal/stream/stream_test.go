@@ -3,6 +3,8 @@ package stream
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -165,21 +167,23 @@ func TestFilterReceiverLevel(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Append(trace.Record{Receiver: i % 3, Sender: i, Level: trace.Level(i % 2), Op: "send"})
 	}
-	recs := records(t, FilterReceiverLevel(TraceSource(tr), 1, trace.Physical))
+	recs := records(t, FilterReceiver(TraceSource(tr), 1))
 	if len(recs) == 0 {
 		t.Fatal("filter dropped everything")
 	}
 	for _, r := range recs {
-		if r.Receiver != 1 || r.Level != trace.Physical {
+		if r.Receiver != 1 {
 			t.Errorf("record leaked through the filter: %+v", r)
 		}
 	}
-	// And the complement views partition the stream.
+	// And the per-receiver views, split by level, partition the stream.
 	n := 0
 	for recv := 0; recv < 3; recv++ {
-		for _, lvl := range []trace.Level{trace.Logical, trace.Physical} {
-			n += len(records(t, FilterReceiverLevel(TraceSource(tr), recv, lvl)))
+		levels := map[trace.Level]int{}
+		for _, r := range records(t, FilterReceiver(TraceSource(tr), recv)) {
+			levels[r.Level]++
 		}
+		n += levels[trace.Logical] + levels[trace.Physical]
 	}
 	if n != tr.Len() {
 		t.Errorf("filter views cover %d records, want %d", n, tr.Len())
@@ -289,7 +293,11 @@ func TestTeeWritesAllSinks(t *testing.T) {
 	}
 	// Store writes are deterministic, so the JSONL side re-encoded as a
 	// store must reproduce the teed store byte for byte.
-	fromJSONL, err := trace.ReadJSONL(bytes.NewReader(b2.Bytes()))
+	path := filepath.Join(t.TempDir(), "tee.jsonl")
+	if err := os.WriteFile(path, b2.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fromJSONL, err := trace.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +315,7 @@ func TestTeeWritesAllSinks(t *testing.T) {
 // allocates nothing in the filter path.
 func TestFilterCompactsInPlace(t *testing.T) {
 	tr := trace.Synthesize(synthCfg(4000))
-	src := FilterReceiverLevel(TraceSource(tr), 0, trace.Logical)
+	src := FilterReceiver(TraceSource(tr), 0)
 	var b EventBlock
 	if err := src.Next(&b); err != nil {
 		t.Fatal(err)

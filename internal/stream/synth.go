@@ -32,10 +32,7 @@ type synthSource struct {
 // SynthSource returns a constant-memory Source over the synthetic trace
 // Synthesize(cfg) would build, in the identical record order.
 func SynthSource(cfg trace.SynthConfig) Source {
-	n := len(cfg.Pattern) * cfg.Repetitions
-	if cfg.Events > 0 {
-		n = cfg.Events
-	}
+	n := max(cfg.Events, 0)
 	if len(cfg.Pattern) == 0 {
 		n = 0
 	}

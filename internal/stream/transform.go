@@ -64,19 +64,6 @@ func FilterReceiver(src Source, receiver int) Source {
 		keep: func(b *EventBlock, i int) bool { return b.Receiver[i] == receiver }}
 }
 
-// FilterLevel keeps only the events of one instrumentation level.
-func FilterLevel(src Source, level trace.Level) Source {
-	return &filterSource{meta: metaFrom(src), src: src,
-		keep: func(b *EventBlock, i int) bool { return b.Level[i] == level }}
-}
-
-// FilterReceiverLevel keeps only the events of one (receiver, level)
-// stream — the exact unit the paper's predictor consumes.
-func FilterReceiverLevel(src Source, receiver int, level trace.Level) Source {
-	return &filterSource{meta: metaFrom(src), src: src,
-		keep: func(b *EventBlock, i int) bool { return b.Receiver[i] == receiver && b.Level[i] == level }}
-}
-
 // PerturbConfig parameterizes the deterministic perturbation transform.
 type PerturbConfig struct {
 	// SwapProbability is the per-position probability that an event

@@ -73,9 +73,9 @@ func WriteJSONL(w io.Writer, t *Trace) error {
 	return jw.Close()
 }
 
-// JSONLReader streams a trace from an io.Reader in the JSONL format, the
-// record-at-a-time sibling of ReadJSONL. The header is consumed by
-// NewJSONLReader; Read returns records until io.EOF.
+// JSONLReader streams a trace written by WriteJSONL from an io.Reader, one
+// record at a time. The header is consumed by NewJSONLReader; Read
+// returns records until io.EOF.
 type JSONLReader struct {
 	dec   *json.Decoder
 	app   string
@@ -114,27 +114,6 @@ func (r *JSONLReader) Read() (Record, error) {
 	}
 	r.count++
 	return rec, nil
-}
-
-// ReadJSONL reads a trace previously written by WriteJSONL.
-func ReadJSONL(r io.Reader) (*Trace, error) {
-	jr, err := NewJSONLReader(r)
-	if err != nil {
-		return nil, err
-	}
-	t := New(jr.App(), jr.Procs())
-	for {
-		rec, err := jr.Read()
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		// Append reassigns Seq deterministically; records written by
-		// WriteJSONL are already in order, so the values round-trip.
-		t.Append(rec)
-	}
 }
 
 // SaveFile writes the trace to the named file, creating or truncating it.

@@ -15,13 +15,9 @@ type SynthConfig struct {
 	Receiver int
 	// Pattern is the repeating sequence of (sender, size) pairs.
 	Pattern []SynthMessage
-	// Repetitions is how many times the pattern repeats.
-	Repetitions int
-	// Events, when positive, overrides the per-level event count
-	// (len(Pattern)*Repetitions otherwise), truncating or extending the
-	// repetition to exactly this many events. It lets callers size a
-	// stream directly — tracegen -events N — without solving for a
-	// repetition count.
+	// Events is the per-level event count: the pattern repeats, the last
+	// repetition truncated, to exactly this many events, so callers size a
+	// stream directly (tracegen -events N).
 	Events int
 	// SwapProbability is the per-position probability that a physical
 	// message swaps places with its successor, emulating the arrival-order
@@ -43,13 +39,10 @@ type SynthMessage struct {
 // adjacent swaps.
 func Synthesize(cfg SynthConfig) *Trace {
 	t := New(cfg.App, cfg.Procs)
-	n := len(cfg.Pattern) * cfg.Repetitions
-	if cfg.Events > 0 {
-		n = cfg.Events
-	}
+	n := max(cfg.Events, 0)
 	if len(cfg.Pattern) == 0 {
-		// Nothing to repeat: an Events override cannot conjure messages
-		// out of an empty pattern (SynthSource applies the same rule).
+		// Nothing to repeat: Events cannot conjure messages out of an
+		// empty pattern (SynthSource applies the same rule).
 		n = 0
 	}
 	msgs := make([]SynthMessage, 0, n)

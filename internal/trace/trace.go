@@ -365,30 +365,3 @@ func (t *Trace) Characterize(receiver int, level Level, coverage float64) Charac
 	c.AllSender = senders.Distinct()
 	return c
 }
-
-// CharacterizeTypical returns the characterisation of a "typical"
-// receiver: the one whose total message count is the median across all
-// receivers. Table 1 reports per-process numbers; the median process
-// avoids skew from rank 0, which often has extra setup traffic.
-func (t *Trace) CharacterizeTypical(level Level, coverage float64) Characterization {
-	receivers := t.Receivers()
-	if len(receivers) == 0 {
-		return Characterization{App: t.App, Procs: t.Procs, Receiver: -1}
-	}
-	type rc struct {
-		receiver int
-		count    int
-	}
-	counts := make([]rc, 0, len(receivers))
-	for _, r := range receivers {
-		counts = append(counts, rc{r, len(t.stream(r, level).recs)})
-	}
-	sort.Slice(counts, func(i, j int) bool {
-		if counts[i].count != counts[j].count {
-			return counts[i].count < counts[j].count
-		}
-		return counts[i].receiver < counts[j].receiver
-	})
-	median := counts[len(counts)/2]
-	return t.Characterize(median.receiver, level, coverage)
-}

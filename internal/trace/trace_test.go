@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -86,7 +87,7 @@ func TestAppendAssignsSequenceNumbers(t *testing.T) {
 }
 
 func TestAppendRebuildsIndexAfterManualConstruction(t *testing.T) {
-	// A Trace assembled field-by-field (as ReadJSONL used to do) must keep
+	// A Trace assembled field-by-field (as an older JSONL reader did) must keep
 	// numbering consistent when Append is called afterwards.
 	tr := &Trace{App: "x", Procs: 2}
 	tr.Records = append(tr.Records, Record{Seq: 0, Receiver: 0, Level: Logical})
@@ -168,32 +169,13 @@ func TestCharacterizeFrequentFiltersRareValues(t *testing.T) {
 	}
 }
 
-func TestCharacterizeTypicalUsesMedianReceiver(t *testing.T) {
-	tr := New("synthetic", 3)
-	// Receiver 0 gets 1 message, receiver 1 gets 5, receiver 2 gets 50.
-	counts := map[int]int{0: 1, 1: 5, 2: 50}
-	for recv, n := range counts {
-		for i := 0; i < n; i++ {
-			tr.Append(Record{Receiver: recv, Sender: (recv + 1) % 3, Size: 128, Kind: PointToPoint, Level: Logical})
-		}
-	}
-	c := tr.CharacterizeTypical(Logical, 0.99)
-	if c.Receiver != 1 {
-		t.Errorf("typical receiver=%d want 1 (median by message count)", c.Receiver)
-	}
-	empty := New("x", 1)
-	if c := empty.CharacterizeTypical(Logical, 0.99); c.Receiver != -1 {
-		t.Errorf("typical receiver of empty trace=%d want -1", c.Receiver)
-	}
-}
-
 func TestJSONLRoundTrip(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, tr); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	got, err := ReadJSONL(&buf)
+	got, err := readJSONL(&buf)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -208,14 +190,14 @@ func TestJSONLRoundTrip(t *testing.T) {
 }
 
 func TestReadJSONLRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("not json\n")); err == nil {
+	if _, err := readJSONL(strings.NewReader("not json\n")); err == nil {
 		t.Error("garbage header should fail")
 	}
-	if _, err := ReadJSONL(strings.NewReader(`{"format":"something-else"}` + "\n")); err == nil {
+	if _, err := readJSONL(strings.NewReader(`{"format":"something-else"}` + "\n")); err == nil {
 		t.Error("wrong format should fail")
 	}
 	bad := `{"format":"mpipredict-trace-v1","app":"x","procs":2}` + "\n" + `{"seq": "oops"}` + "\n"
-	if _, err := ReadJSONL(strings.NewReader(bad)); err == nil {
+	if _, err := readJSONL(strings.NewReader(bad)); err == nil {
 		t.Error("malformed record should fail")
 	}
 }
@@ -248,7 +230,7 @@ func TestSynthesizeWithoutNoiseProducesIdenticalStreams(t *testing.T) {
 		Pattern: []SynthMessage{
 			{Sender: 0, Size: 100}, {Sender: 1, Size: 200}, {Sender: 3, Size: 300},
 		},
-		Repetitions: 10,
+		Events: 30,
 	}
 	tr := Synthesize(cfg)
 	logicalSenders := tr.SenderStream(2, Logical)
@@ -272,7 +254,7 @@ func TestSynthesizeNoisePermutesButPreservesMultiset(t *testing.T) {
 		Pattern: []SynthMessage{
 			{Sender: 1, Size: 10}, {Sender: 2, Size: 20}, {Sender: 3, Size: 30},
 		},
-		Repetitions:     50,
+		Events:          150,
 		SwapProbability: 0.3,
 		Seed:            99,
 	}
@@ -342,5 +324,25 @@ func TestTraceSequenceNumbersDense(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// readJSONL reads a whole trace written by WriteJSONL through the
+// streaming JSONLReader.
+func readJSONL(r io.Reader) (*Trace, error) {
+	jr, err := NewJSONLReader(r)
+	if err != nil {
+		return nil, err
+	}
+	t := New(jr.App(), jr.Procs())
+	for {
+		rec, err := jr.Read()
+		if err == io.EOF {
+			return t, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		t.Append(rec)
 	}
 }

@@ -181,9 +181,6 @@ func NewDiskStore(dir string) *Cache {
 	return &Cache{entries: make(map[Key]*entry), dir: dir}
 }
 
-// Dir returns the disk-tier directory, or "" for a memory-only cache.
-func (c *Cache) Dir() string { return c.dir }
-
 // Shared is the process-wide cache used by the evaluation harness by
 // default. The paper grid is small (a few dozen configurations), so the
 // cache is unbounded; long-running processes that sweep many seeds should

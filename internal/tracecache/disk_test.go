@@ -383,8 +383,8 @@ func TestMemoryOnlyCacheTouchesNoDisk(t *testing.T) {
 	if s.DiskHits != 0 || s.DiskWrites != 0 || s.DiskErrors != 0 {
 		t.Errorf("memory-only cache reported disk activity: %+v", s)
 	}
-	if c.Dir() != "" {
-		t.Errorf("Dir() = %q, want empty", c.Dir())
+	if c.dir != "" {
+		t.Errorf("dir = %q, want empty", c.dir)
 	}
 }
 

@@ -174,17 +174,6 @@ func Cols(cols ...Column) ColumnSet {
 // Has reports whether the set contains c.
 func (s ColumnSet) Has(c Column) bool { return s&(1<<c) != 0 }
 
-// Count returns the number of columns in the set.
-func (s ColumnSet) Count() int {
-	n := 0
-	for c := Column(0); c < numColumns; c++ {
-		if s.Has(c) {
-			n++
-		}
-	}
-	return n
-}
-
 // partMeta is one footer index entry.
 type partMeta struct {
 	off     uint64 // absolute file offset of the partition's first block

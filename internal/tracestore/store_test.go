@@ -382,8 +382,10 @@ func TestColumnSetAndStrings(t *testing.T) {
 	if !s.Has(ColTime) || !s.Has(ColOp) || s.Has(ColSender) {
 		t.Errorf("Cols membership wrong: %b", s)
 	}
-	if s.Count() != 2 || AllColumns.Count() != int(numColumns) {
-		t.Errorf("Count wrong: %d, %d", s.Count(), AllColumns.Count())
+	for c := Column(0); c < numColumns; c++ {
+		if !AllColumns.Has(c) {
+			t.Errorf("AllColumns lacks column %d", c)
+		}
 	}
 	for c := Column(0); c < numColumns; c++ {
 		if strings.Contains(c.String(), "column(") {

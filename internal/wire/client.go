@@ -141,9 +141,6 @@ func (c *Client) Err() error { return c.err }
 // processed and duplicate deliveries dropped on this connection.
 func (c *Client) Acked() (frames, dups uint64) { return c.acked, c.dups }
 
-// Sent returns the number of observe frames written on this connection.
-func (c *Client) Sent() uint64 { return c.sent }
-
 // UnackedFrames returns the retained encodings of every observe frame
 // the server has not yet acknowledged, oldest first. The slices are the
 // client's own retained copies — callers resending after a reconnect
@@ -247,14 +244,6 @@ func (c *Client) NextPredict(ctx context.Context) (*PredictRespView, error) {
 			return &c.resp, nil
 		}
 	}
-}
-
-// Predict is the synchronous convenience: one request, one response.
-func (c *Client) Predict(ctx context.Context, tenant, stream string, k int) (*PredictRespView, error) {
-	if err := c.SendPredict(ctx, 0, tenant, stream, k); err != nil {
-		return nil, err
-	}
-	return c.NextPredict(ctx)
 }
 
 // readOne consumes one server frame and dispatches it; callers must

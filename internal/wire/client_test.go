@@ -95,15 +95,18 @@ func TestClientPipelinedObserveAndPredict(t *testing.T) {
 	if frames, _ := c.Acked(); frames != 20 {
 		t.Fatalf("acked %d frames, want 20", frames)
 	}
-	if c.Sent() != 20 || len(c.UnackedFrames()) != 0 {
-		t.Fatalf("sent=%d unacked=%d after full flush", c.Sent(), len(c.UnackedFrames()))
+	if c.sent != 20 || len(c.UnackedFrames()) != 0 {
+		t.Fatalf("sent=%d unacked=%d after full flush", c.sent, len(c.UnackedFrames()))
 	}
 
 	// Predict interleaved with acks: the ack written ahead of the
 	// response must be absorbed, not returned.
-	resp, err := c.Predict(ctx, "t", "s", 3)
+	if err := c.SendPredict(ctx, 0, "t", "s", 3); err != nil {
+		t.Fatalf("SendPredict: %v", err)
+	}
+	resp, err := c.NextPredict(ctx)
 	if err != nil {
-		t.Fatalf("Predict: %v", err)
+		t.Fatalf("NextPredict: %v", err)
 	}
 	if !resp.Found || resp.Observed != 9 || len(resp.Forecasts) != 1 || resp.Forecasts[0].Sender != 1 {
 		t.Fatalf("predict response: %+v", resp)

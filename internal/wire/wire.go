@@ -502,9 +502,6 @@ type Forecast struct {
 	SizeOK   bool
 }
 
-// OK is the joint flag, matching serve.Forecast.OK.
-func (f Forecast) OK() bool { return f.SenderOK && f.SizeOK }
-
 const (
 	flagSenderOK = 1 << 0
 	flagSizeOK   = 1 << 1

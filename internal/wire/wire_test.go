@@ -241,9 +241,6 @@ func TestAckPredictErrorRoundTrip(t *testing.T) {
 			t.Fatalf("forecast %d: got %+v, want %+v", i, rv.Forecasts[i], f)
 		}
 	}
-	if !fcs[0].OK() || fcs[1].OK() || fcs[2].OK() {
-		t.Error("Forecast.OK must be the joint flag")
-	}
 
 	remote, err := DecodeError(AppendError(nil, CodeConflict, 3, "strategy mismatch"))
 	if err != nil {

@@ -35,7 +35,6 @@ const (
 	cgTagTranspose
 	cgTagRho
 	cgTagBeta
-	cgTagNorm
 )
 
 const (

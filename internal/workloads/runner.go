@@ -91,19 +91,13 @@ func RunToSink(rc RunConfig, sink stream.Sink) error {
 	return nil
 }
 
-// ReplayReceiver picks the receiver to evaluate when replaying a trace
+// PickReplayReceiver picks the receiver to evaluate when replaying a trace
 // loaded from disk: the workload's typical receiver when the trace's app
 // is in the catalog and that rank was traced, otherwise the trace's sole
 // traced receiver. Traces of unknown applications with several traced
-// receivers are ambiguous and rejected — the caller must choose.
-func ReplayReceiver(tr *trace.Trace) (int, error) {
-	return PickReplayReceiver(tr.App, tr.Procs, tr.Receivers())
-}
-
-// PickReplayReceiver is ReplayReceiver for streamed traces: the caller
-// supplies the header metadata and the set of traced receivers (sorted,
-// as a one-pass scan or trace.Receivers yields them) instead of a
-// materialized trace.
+// receivers are ambiguous and rejected — the caller must choose. The
+// caller supplies the header metadata and the set of traced receivers
+// (sorted, as a one-pass scan or trace.Receivers yields them).
 func PickReplayReceiver(app string, procs int, receivers []int) (int, error) {
 	if len(receivers) == 0 {
 		return 0, fmt.Errorf("workloads: trace %q holds no receive events", app)

@@ -3,6 +3,7 @@ package mpipredict
 import (
 	"context"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
@@ -25,7 +26,7 @@ func TestFacadePredictors(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		mp.Observe(1+i%2, int64(100*(1+i%2)))
 	}
-	fc := mp.Forecast(2)
+	fc := mp.ForecastInto(nil, 2)
 	if !fc[0].OK || !fc[1].OK {
 		t.Errorf("message forecast should be available: %+v", fc)
 	}
@@ -147,8 +148,10 @@ func TestFacadeServing(t *testing.T) {
 	if !fc[0].OK {
 		t.Error("warmed session should forecast")
 	}
-	if NewServeServer(reg).Registry() != reg {
-		t.Error("server does not front the registry it was built with")
+	rec := httptest.NewRecorder()
+	NewServeServer(reg).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/predict?tenant=tenant&stream=stream&k=3", nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("server over the registry answered %d to a predict for its session", rec.Code)
 	}
 
 	path := filepath.Join(t.TempDir(), "state.mps")
@@ -200,7 +203,10 @@ func TestFacadeWire(t *testing.T) {
 	if err := c.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := c.Predict(ctx, "tenant", "stream", 3)
+	if err := c.SendPredict(ctx, 0, "tenant", "stream", 3); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.NextPredict(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
