@@ -106,9 +106,10 @@ func TestStreamPredictorRelockZeroAllocs(t *testing.T) {
 }
 
 // TestObserveZeroAllocsOnWideValues repeats the steady-state checks on the
-// stream that makes the split passes and the fused period search do the
-// most work: wide random values mismatch at every lag, so every learning
-// observe scans all lags for a tolerant period. The restored predictor
+// stream that makes the count updates and the period search do the most
+// work: wide random values mismatch at every lag and are escape-coded, so
+// every mask compares values and every learning observe searches all lags
+// for a tolerant period. The restored predictor
 // covers the detector RestoreStreamPredictor builds by hand.
 func TestObserveZeroAllocsOnWideValues(t *testing.T) {
 	fresh := NewStreamPredictor(DefaultConfig())
@@ -212,10 +213,10 @@ func TestPredictSeriesIntoMatchesPredictSeries(t *testing.T) {
 
 // predictorBudget is the most a default-configuration StreamPredictor may
 // allocate from construction through locking onto a pattern: the window
-// ring with its replay slots, the counts, the outcome ring, the pattern
-// and the vote's scratch map. A dpd session holds two, one per stream,
-// so a session's predictors stay within twice this. DESIGN §4 states the
-// measured figure.
+// ring with its replay slots, the count planes, the code ring and its
+// dictionary, the outcome ring, the pattern and the vote's scratch map.
+// A dpd session holds two, one per stream, so a session's predictors stay
+// within twice this. DESIGN §4 states the measured figure.
 const predictorBudget = 9 << 10
 
 // TestStreamPredictorMemoryBudget checks the per-predictor share of the
@@ -251,25 +252,66 @@ func TestStreamPredictorMemoryBudget(t *testing.T) {
 	}
 }
 
-// TestAllowedTableSharedOnlyAtDefault checks that a non-default window or
-// tolerance — which a snapshot, untrusted input, may carry — gets a table
-// of its own with the right entries, and never the shared one.
+// worstCasePredictorBudget is the most a default-configuration
+// StreamPredictor may allocate from construction through 4·WindowSize
+// distinct values: the predictorBudget items less the pattern, plus the
+// code dictionary grown to its full 255 codes. DESIGN §4 states the
+// measured figure; the budget leaves about 12% above it.
+const worstCasePredictorBudget = 16 << 10
+
+// TestStreamPredictorWorstCaseMemoryBudget warms default predictors on
+// distinct values, which fill the code dictionary and then take the
+// escape code, and checks every byte allocated on the way.
+func TestStreamPredictorWorstCaseMemoryBudget(t *testing.T) {
+	const n = 32
+	stream := make([]int64, 4*DefaultConfig().WindowSize)
+	for i := range stream {
+		stream[i] = 1<<33 + 7919*int64(i)
+	}
+	preds := make([]*StreamPredictor, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range preds {
+		preds[i] = NewStreamPredictor(DefaultConfig())
+		for _, x := range stream {
+			preds[i].Observe(x)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	for _, p := range preds {
+		if c := &p.det.codes; len(c.value) != escapeCode || c.escapes == 0 {
+			t.Fatalf("dictionary of %d codes and %d escape-coded samples, want %d and some", len(c.value), c.escapes, escapeCode)
+		}
+	}
+	perPredictor := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("%d bytes per default predictor after %d distinct values", perPredictor, len(stream))
+	if perPredictor > worstCasePredictorBudget {
+		t.Errorf("a default predictor fed distinct values allocated %d bytes, budget %d", perPredictor, worstCasePredictorBudget)
+	}
+}
+
+// TestAllowedTableSharedOnlyAtDefault checks that a non-default window,
+// lag range or tolerance — which a snapshot, untrusted input, may carry —
+// gets a table of its own with the right bound for every lag, and never
+// the shared one.
 func TestAllowedTableSharedOnlyAtDefault(t *testing.T) {
 	def := DefaultConfig()
 	for _, cfg := range []Config{
-		{WindowSize: def.WindowSize, LockTolerance: 0.1},
-		{WindowSize: 64, LockTolerance: def.LockTolerance},
+		{WindowSize: def.WindowSize, MaxLag: def.MaxLag, LockTolerance: 0.1},
+		{WindowSize: 64, MaxLag: def.MaxLag / 4, LockTolerance: def.LockTolerance},
+		{WindowSize: def.WindowSize, MaxLag: def.MaxLag - 1, LockTolerance: def.LockTolerance},
 	} {
 		table := allowedTable(cfg)
-		if len(table) != cfg.WindowSize+1 {
-			t.Fatalf("%+v: table of %d entries, want %d", cfg, len(table), cfg.WindowSize+1)
+		if want := planeCount(cfg) * lagWords(cfg); len(table) != want {
+			t.Fatalf("%+v: table of %d words, want %d", cfg, len(table), want)
 		}
 		if &table[0] == &defaultAllowed[0] {
 			t.Errorf("%+v: got the shared default table", cfg)
 		}
-		for p, v := range table {
-			if want := int(cfg.LockTolerance * float64(p)); v != want {
-				t.Fatalf("%+v: allowed[%d] = %d, want %d", cfg, p, v, want)
+		d := &Detector{planes: table, nplanes: planeCount(cfg)}
+		for m := 1; m <= cfg.MaxLag; m++ {
+			if got, want := d.count(m), int(cfg.LockTolerance*float64(cfg.WindowSize-m)); got != want {
+				t.Fatalf("%+v: bound of lag %d = %d, want %d", cfg, m, got, want)
 			}
 		}
 	}

@@ -7,7 +7,7 @@ import "fmt"
 // every field and Validate it.
 type Config struct {
 	// WindowSize is N in equation (1): the number of most recent samples
-	// the detector keeps. Must be at least 2.
+	// the detector keeps. Must be in 2..maxWindowSize.
 	WindowSize int
 
 	// MaxLag is M in equation (1): the largest candidate period examined.
@@ -70,10 +70,16 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxWindowSize is the largest valid WindowSize, eight times the
+// default. A predictor's memory grows linearly with its window, and a
+// snapshot carries its own configuration, so without a cap an uploaded
+// snapshot could make a restore allocate any amount of memory.
+const maxWindowSize = 4096
+
 // Validate reports whether the configuration is internally consistent.
 func (c Config) Validate() error {
-	if c.WindowSize < 2 {
-		return fmt.Errorf("core: WindowSize must be >= 2, got %d", c.WindowSize)
+	if c.WindowSize < 2 || c.WindowSize > maxWindowSize {
+		return fmt.Errorf("core: WindowSize must be in 2..%d, got %d", maxWindowSize, c.WindowSize)
 	}
 	if c.MaxLag < 1 {
 		return fmt.Errorf("core: MaxLag must be >= 1, got %d", c.MaxLag)

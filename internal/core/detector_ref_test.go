@@ -223,9 +223,12 @@ func compareWithRef(d *Detector, ref *refDetector) error {
 
 // refStreams returns the differential inputs for a window of size w: a
 // small-alphabet stream (many equal pairs, so counts go up and down), a
-// wide-value stream (almost every pair differs) and a noisy periodic
-// stream (strict and tolerant periods both occur). Each is long enough
-// for the ring head to visit every slot several times.
+// wide-value stream (almost every pair differs), a noisy periodic
+// stream (strict and tolerant periods both occur) and a cycle stream: a
+// 300-value cycle, more values than the code dictionary holds once the
+// window and its replay slots exceed 255 samples, then a period-7
+// stream, on which the codes come back. Each is long enough for the ring
+// head to visit every slot several times.
 func refStreams(w int, seed int64) map[string][]int64 {
 	r := rand.New(rand.NewSource(seed))
 	n := 4*w + 7
@@ -241,14 +244,21 @@ func refStreams(w int, seed int64) map[string][]int64 {
 			noisy[i] = int64(r.Intn(4))
 		}
 	}
-	return map[string][]int64{"small": small, "wide": wide, "noisy": noisy}
+	cycle := cycleThenPeriodic(300, 1, 0)
+	for len(cycle) < n/2 {
+		cycle = append(cycle, cycle[:300]...)
+	}
+	cycle = append(cycle[:n/2], cycleThenPeriodic(0, 0, n-n/2)...)
+	return map[string][]int64{"small": small, "wide": wide, "noisy": noisy, "cycle": cycle}
 }
 
 // runAgainstRef feeds stream to a fresh detector and reference built from
 // cfg (LockTolerance set per detector) and compares them after every
 // sample. It also checks the stream drove the full ring's head through
-// every slot, so each wrap position of the split passes was exercised.
-func runAgainstRef(t *testing.T, cfg Config, name string, stream []int64) {
+// every slot, so each wrap position of the window's reads was exercised.
+// It returns whether any sample was escape-coded, and whether the last
+// one still was.
+func runAgainstRef(t *testing.T, cfg Config, name string, stream []int64) (escaped, escapedAtEnd bool) {
 	t.Helper()
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("%+v: %v", cfg, err)
@@ -272,16 +282,19 @@ func runAgainstRef(t *testing.T, cfg Config, name string, stream []int64) {
 		if dets[0].win.Full() {
 			heads[dets[0].win.head] = true
 		}
+		escapedAtEnd = dets[0].codes.escapes > 0
+		escaped = escaped || escapedAtEnd
 	}
 	for h, seen := range heads {
 		if !seen {
 			t.Fatalf("%+v, %s stream: full ring never had its head at slot %d", cfg, name, h)
 		}
 	}
+	return escaped, escapedAtEnd
 }
 
-// TestDetectorMatchesReferenceSmallConfigs runs the split-ring detector
-// beside the modulo-ring reference for every window size 2..33, every
+// TestDetectorMatchesReferenceSmallConfigs runs the detector beside the
+// modulo-ring reference for every window size 2..33, every
 // MaxLag below it and MinRepeats 1..3.
 func TestDetectorMatchesReferenceSmallConfigs(t *testing.T) {
 	for w := 2; w <= 33; w++ {
@@ -297,11 +310,16 @@ func TestDetectorMatchesReferenceSmallConfigs(t *testing.T) {
 }
 
 // TestDetectorMatchesReferenceDefaultConfig does the same at the
-// evaluation geometry (window 512, lags up to 192).
+// evaluation geometry (window 512, lags up to 192), where the cycle
+// stream runs the escape path.
 func TestDetectorMatchesReferenceDefaultConfig(t *testing.T) {
 	cfg := DefaultConfig()
 	for name, stream := range refStreams(cfg.WindowSize, 7) {
-		runAgainstRef(t, cfg, name, stream)
+		escaped, escapedAtEnd := runAgainstRef(t, cfg, name, stream)
+		// The cycle stream crosses 255 live values and comes back.
+		if name == "cycle" && (!escaped || escapedAtEnd) {
+			t.Errorf("cycle stream: escape-coded samples seen %v, at the end %v; want true, false", escaped, escapedAtEnd)
+		}
 	}
 	// The constructor's defaulting path builds the same detector.
 	d, ref := NewDetector(Config{}), newRefDetector(cfg)

@@ -23,6 +23,8 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"default", DefaultConfig(), true},
 		{"window too small", Config{WindowSize: 1, MaxLag: 1, MinRepeats: 1, ConfirmRuns: 1}, false},
+		{"window at the cap", Config{WindowSize: maxWindowSize, MaxLag: 1, MinRepeats: 1, ConfirmRuns: 1}, true},
+		{"window above the cap", Config{WindowSize: maxWindowSize + 1, MaxLag: 1, MinRepeats: 1, ConfirmRuns: 1}, false},
 		{"lag zero", Config{WindowSize: 8, MaxLag: -1, MinRepeats: 1, ConfirmRuns: 1}, false},
 		{"lag >= window", Config{WindowSize: 8, MaxLag: 8, MinRepeats: 1, ConfirmRuns: 1}, false},
 		{"min repeats", Config{WindowSize: 8, MaxLag: 4, MinRepeats: -2, ConfirmRuns: 1}, false},

@@ -21,9 +21,14 @@
 // window is exactly periodic with period m. The implementation keeps the
 // per-lag mismatch counts incrementally (O(M) work per observation, no
 // rescan of the window), mirroring the circular-list, low-overhead
-// implementation the paper requires for runtime use. While a predictor is
-// locked onto a pattern it does not need the counts, so it skips their
-// updates and they catch up when next read.
+// implementation the paper requires for runtime use. The counts are
+// bit-sliced, 64 lags to a word per bit plane, and each observation adds
+// and subtracts one mask per word of the pairs it gains and loses. The
+// masks compare one-byte sample codes eight at a time; a sample whose
+// value has no code (the per-detector dictionary holds 255) is compared
+// by value. While a predictor is locked onto a pattern it does not need
+// the counts, so it only stores each sample in the window, and the codes
+// and counts catch up when next read.
 //
 // Two layers are provided:
 //

@@ -32,8 +32,9 @@ type lazyHarness struct {
 	ref         *refDetector
 	clone       Detector
 	// catchUps counts the lazy detector's catch-ups by the number of
-	// skipped updates they applied.
-	catchUps map[int]int
+	// skipped updates they applied, and escapeCatchUps those after which
+	// escape-coded samples were live.
+	catchUps, escapeCatchUps map[int]int
 	// unlocks counts the unlocks seen. After every other one the
 	// predictor is queried at once, so its counts catch up in a reader;
 	// after the others they catch up in the next learning Observe.
@@ -43,7 +44,7 @@ type lazyHarness struct {
 // newLazyHarness builds the predictors through RestoreStreamPredictor so
 // cfg is used verbatim, explicit zero fields included.
 func newLazyHarness(cfg Config) (*lazyHarness, error) {
-	h := &lazyHarness{ref: newRefDetector(cfg), catchUps: map[int]int{}}
+	h := &lazyHarness{ref: newRefDetector(cfg), catchUps: map[int]int{}, escapeCatchUps: map[int]int{}}
 	var err error
 	if h.lazy, err = RestoreStreamPredictor(PredictorSnapshot{Config: cfg}); err != nil {
 		return nil, err
@@ -56,9 +57,10 @@ func newLazyHarness(cfg Config) (*lazyHarness, error) {
 
 // observe feeds x to all three and compares them.
 func (h *lazyHarness) observe(x int64) error {
+	caughtUp := 0
 	if h.lazy.State() == Learning && h.lazy.det.stale > 0 {
 		// A learning observe pushes, then catches up.
-		h.catchUps[h.lazy.det.stale+1]++
+		caughtUp = h.lazy.det.stale + 1
 	}
 	wasLocked := h.lazy.State() == Locked
 	h.lazy.Observe(x)
@@ -72,6 +74,9 @@ func (h *lazyHarness) observe(x int64) error {
 	if err := compareWithRef(&h.clone, h.ref); err != nil {
 		return fmt.Errorf("lazy detector after catching up %d samples: %v", h.lazy.det.stale, err)
 	}
+	if err := checkCodes(&h.clone); err != nil {
+		return fmt.Errorf("lazy detector's codes after catching up %d samples: %v", h.lazy.det.stale, err)
+	}
 	if got, want := h.clone.Periodogram(), h.eager.det.Periodogram(); !reflect.DeepEqual(got, want) {
 		return fmt.Errorf("Periodogram() = %v, want %v", got, want)
 	}
@@ -80,7 +85,7 @@ func (h *lazyHarness) observe(x int64) error {
 		h.unlocks++
 		query = h.unlocks%2 == 0
 		if query {
-			h.catchUps[h.lazy.det.stale]++
+			caughtUp = h.lazy.det.stale
 		}
 	}
 	if err := comparePredictors(h.lazy, h.eager, query); err != nil {
@@ -89,15 +94,26 @@ func (h *lazyHarness) observe(x int64) error {
 	if h.lazy.State() == Learning && query && h.lazy.det.stale != 0 {
 		return fmt.Errorf("learning predictor left %d count updates pending after a query", h.lazy.det.stale)
 	}
+	if caughtUp > 0 {
+		h.catchUps[caughtUp]++
+		if h.lazy.det.codes.escapes > 0 {
+			h.escapeCatchUps[caughtUp]++
+		}
+	}
 	return nil
 }
 
 // cloneDetector makes dst a deep copy of src, reusing dst's buffers.
 func cloneDetector(dst, src *Detector) {
-	buf, mm := dst.win.buf, dst.mismatch
+	buf, planes, codes := dst.win.buf, dst.planes, dst.codes
 	*dst = *src
 	dst.win.buf = append(buf[:0], src.win.buf...)
-	dst.mismatch = append(mm[:0], src.mismatch...)
+	dst.planes = append(planes[:0], src.planes...)
+	dst.codes.buf = append(codes.buf[:0], src.codes.buf...)
+	dst.codes.value = append(codes.value[:0], src.codes.value...)
+	dst.codes.refs = append(codes.refs[:0], src.codes.refs...)
+	dst.codes.free = append(codes.free[:0], src.codes.free...)
+	dst.codes.table = append(codes.table[:0], src.codes.table...)
 }
 
 // comparePredictors checks the lazy predictor against the eager one:
@@ -249,6 +265,56 @@ func TestLazyDetectorMatchesEagerOnChurn(t *testing.T) {
 	}
 }
 
+// TestLazyDetectorMatchesEagerAcrossEscapes runs the differential
+// harness at the default configuration on rounds of a 300-value cycle,
+// more values than the code dictionary holds, followed by a periodic
+// stream that the predictor locks onto once it fills most of the window,
+// while the cycle's escape-coded samples are still in the code ring. A
+// burst of fresh values breaks each lock after about K/2 or K+20
+// samples. The pushed samples of the shorter locks are escape-coded when
+// they are replayed; a rebuild recodes a window that holds few values, so
+// TestDetectorCatchUpAtReplayLimit covers rebuilds with escapes.
+func TestLazyDetectorMatchesEagerAcrossEscapes(t *testing.T) {
+	cfg := DefaultConfig()
+	h, err := newLazyHarness(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := replayLimit(cfg)
+	fresh := int64(1 << 20)
+	var stream []int64
+	for round := range 4 {
+		stream = append(stream, cycleThenPeriodic(300, 2, 0)...)
+		lockFor := []int{k / 2, k + 20}[round%2]
+		for i := range 450 + lockFor {
+			stream = append(stream, int64(i%(5+round)))
+		}
+		for range cfg.HoldDown + 1 {
+			stream = append(stream, fresh)
+			fresh++
+		}
+	}
+	for step, x := range stream {
+		if err := h.observe(x); err != nil {
+			t.Fatalf("sample %d: %v", step, err)
+		}
+	}
+	replays, rebuilds := 0, 0
+	for size, count := range h.escapeCatchUps {
+		if size > 1 && size <= k {
+			replays += count
+		}
+	}
+	for size, count := range h.catchUps {
+		if size > k {
+			rebuilds += count
+		}
+	}
+	if replays == 0 || rebuilds == 0 {
+		t.Errorf("%d replays with escape-coded samples live and %d rebuilds, want both; catch-ups %v, with escapes %v", replays, rebuilds, h.catchUps, h.escapeCatchUps)
+	}
+}
+
 // TestLazyDetectorMatchesEagerOnCorpus runs every sender and size stream
 // of every receiver of the golden corpus through the differential
 // harness at the default configuration.
@@ -287,31 +353,44 @@ func TestLazyDetectorMatchesEagerOnCorpus(t *testing.T) {
 // TestDetectorCatchUpAtReplayLimit pushes exactly K−1, K and K+1 samples
 // (and a few other counts) into bare detectors in every window state —
 // empty, partly filled, filling up during the pushes, full — and compares
-// every count reader with the reference afterwards.
+// every count reader with the reference afterwards. The samples come from
+// a 3-value alphabet, or from a wide one, so that at the default
+// configuration the code dictionary overflows and both catch-ups handle
+// escape-coded samples.
 func TestDetectorCatchUpAtReplayLimit(t *testing.T) {
 	for _, cfg := range churnConfigs() {
 		k := replayLimit(cfg)
 		w := cfg.WindowSize
-		for _, prefix := range []int{0, w / 3, w - k/2, w, 3*w + 1} {
-			for _, pushes := range []int{1, k - 1, k, k + 1, w + 3} {
-				r := rand.New(rand.NewSource(int64(prefix*1000 + pushes)))
-				d, ref := newDetector(cfg), newRefDetector(cfg)
-				for range prefix {
-					x := int64(r.Intn(3))
-					d.Observe(x)
-					ref.Observe(x)
+		for _, alphabet := range []int64{3, 1 << 40} {
+			escaped := false
+			for _, prefix := range []int{0, w / 3, w - k/2, w, 3*w + 1} {
+				for _, pushes := range []int{1, k - 1, k, k + 1, w + 3} {
+					r := rand.New(rand.NewSource(int64(prefix*1000 + pushes)))
+					d, ref := newDetector(cfg), newRefDetector(cfg)
+					for range prefix {
+						x := r.Int63n(alphabet)
+						d.Observe(x)
+						ref.Observe(x)
+					}
+					for range pushes {
+						x := r.Int63n(alphabet)
+						d.push(x)
+						ref.Observe(x)
+					}
+					if err := compareWithRef(d, ref); err != nil {
+						t.Fatalf("%+v, %d samples of %d values observed then %d pushed: %v", cfg, prefix, alphabet, pushes, err)
+					}
+					if err := checkCodes(d); err != nil {
+						t.Fatalf("%+v, %d samples of %d values observed then %d pushed: %v", cfg, prefix, alphabet, pushes, err)
+					}
+					if d.stale != 0 {
+						t.Fatalf("%+v: %d updates still pending after a read", cfg, d.stale)
+					}
+					escaped = escaped || d.codes.escapes > 0
 				}
-				for range pushes {
-					x := int64(r.Intn(3))
-					d.push(x)
-					ref.Observe(x)
-				}
-				if err := compareWithRef(d, ref); err != nil {
-					t.Fatalf("%+v, %d samples observed then %d pushed: %v", cfg, prefix, pushes, err)
-				}
-				if d.stale != 0 {
-					t.Fatalf("%+v: %d updates still pending after a read", cfg, d.stale)
-				}
+			}
+			if wantEscapes := alphabet > 3 && w+k > escapeCode; escaped != wantEscapes {
+				t.Errorf("%+v, %d values: escape-coded samples %v, want %v", cfg, alphabet, escaped, wantEscapes)
 			}
 		}
 	}
@@ -343,9 +422,13 @@ func TestCatchUpZeroAllocs(t *testing.T) {
 
 // FuzzDetectorLazy runs the differential harness on arbitrary input. The
 // first five bytes choose the configuration and a periodic pattern; each
-// later byte below 0xe0 continues the pattern and each other byte is the
-// value of its low five bits, so runs of high bytes break the lock. Only
-// the first fuzzMaxSamples samples are used: the fuzzer's comparison
+// later byte below 0xc0 continues the pattern, each byte from 0xe0 is the
+// value of its low five bits, so runs of high bytes break the lock, and
+// each byte in between is a value not seen before. A first byte from 0xc0
+// picks a window of 184..247 samples, whose code ring holds more than
+// 255, so runs of fresh values overflow the code dictionary; smaller ones
+// pick a window of 2..64. Only the first fuzzMaxSamples samples are used
+// (three times as many for the wide windows): the fuzzer's comparison
 // hooks make every compare of the count loops a call, and a window of at
 // most 64 samples repeats its states well within that many samples.
 func FuzzDetectorLazy(f *testing.F) {
@@ -365,6 +448,18 @@ func FuzzDetectorLazy(f *testing.F) {
 	f.Add(seed([]byte{46, 11, 4, 1, 7}, 120, 5, 30, 4, 200, 8, 90))
 	f.Add(seed([]byte{30, 29, 0, 0, 3}, 40, 2, 17, 1, 60))
 	f.Add(seed([]byte{62, 20, 7, 5, 40}, 300, 6, 16, 6, 17, 6, 18))
+	// Lock, 300 fresh values, relock while they are in the code ring,
+	// unlock after a replay-sized and a rebuild-sized lock, and come back.
+	wide := []byte{0xd0, 20, 4, 1, 7}
+	for _, run := range []struct {
+		b byte
+		n int
+	}{{0, 150}, {0xc0, 300}, {0, 60}, {0xff, 3}, {0, 150}, {0xff, 3}, {0, 400}, {0xc0, 20}, {0, 300}} {
+		for range run.n {
+			wide = append(wide, run.b)
+		}
+	}
+	f.Add(wide)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
 			return
@@ -374,10 +469,17 @@ func FuzzDetectorLazy(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
-		for i, b := range data[5:min(len(data), 5+fuzzMaxSamples)] {
+		samples := fuzzMaxSamples
+		if cfg.WindowSize > 64 {
+			samples *= 3
+		}
+		for i, b := range data[5:min(len(data), 5+samples)] {
 			x := pattern[i%len(pattern)]
-			if b >= 0xe0 {
+			switch {
+			case b >= 0xe0:
 				x = int64(b & 0x1f)
+			case b >= 0xc0:
+				x = 1<<20 + int64(i)
 			}
 			if err := h.observe(x); err != nil {
 				t.Fatalf("%+v, sample %d: %v", cfg, i, err)
@@ -390,13 +492,17 @@ func FuzzDetectorLazy(f *testing.F) {
 const fuzzMaxSamples = 512
 
 // fuzzLazySetup decodes the fuzz header: a valid configuration with a
-// window of 2..64 samples and a pattern of period 1..24 over a
-// 2..6-value alphabet.
+// window of 2..64 samples, or 184..247 when the first byte is at least
+// 0xc0, and a pattern of period 1..24 over a 2..6-value alphabet.
 func fuzzLazySetup(b []byte) (Config, []int64) {
 	w := 2 + int(b[0]%63)
+	lags := w - 1
+	if b[0] >= 0xc0 {
+		w, lags = 184+int(b[0]&0x3f), 48
+	}
 	cfg := Config{
 		WindowSize:      w,
-		MaxLag:          1 + int(b[1])%(w-1),
+		MaxLag:          1 + int(b[1])%lags,
 		MinRepeats:      1 + int(b[2]%3),
 		ConfirmRuns:     1 + int(b[3]%3),
 		HoldDown:        int(b[2]/3) % 5,

@@ -27,7 +27,7 @@ func (d *Detector) Distance(m int) int {
 		panic(fmt.Sprintf("core: Distance lag %d out of range 1..%d", m, d.cfg.MaxLag))
 	}
 	d.catchUp()
-	return d.mismatch[m]
+	return d.count(m)
 }
 
 // DistanceDirect recomputes d(m) by scanning the window, so the
@@ -56,7 +56,7 @@ func (d *Detector) PeriodWithin(tol float64) (period int, ok bool) {
 	d.catchUp()
 	n, lim := d.win.Len(), d.searchLimit()
 	for m := 1; m <= lim; m++ {
-		if d.mismatch[m] <= int(tol*float64(n-m)) {
+		if d.count(m) <= int(tol*float64(n-m)) {
 			return m, true
 		}
 	}
@@ -67,8 +67,10 @@ func (d *Detector) PeriodWithin(tol float64) (period int, ok bool) {
 // (index 0 is unused and always zero).
 func (d *Detector) Periodogram() []int {
 	d.catchUp()
-	out := make([]int, len(d.mismatch))
-	copy(out, d.mismatch)
+	out := make([]int, d.cfg.MaxLag+1)
+	for m := 1; m < len(out); m++ {
+		out[m] = d.count(m)
+	}
 	return out
 }
 

@@ -151,6 +151,21 @@ func TestSnapshotPreservesExplicitZeroConfig(t *testing.T) {
 }
 
 // TestRestoreRejectsCorruptSnapshots enumerates the validation surface.
+// TestRestoreRefusesWindowAboveCap checks that a snapshot naming a
+// window one above the cap is refused before anything is allocated for
+// it, and that one at the cap restores.
+func TestRestoreRefusesWindowAboveCap(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.WindowSize = maxWindowSize + 1
+	if _, err := RestoreStreamPredictor(PredictorSnapshot{Config: cfg}); err == nil {
+		t.Fatalf("restore accepted WindowSize %d", cfg.WindowSize)
+	}
+	cfg.WindowSize = maxWindowSize
+	if _, err := RestoreStreamPredictor(PredictorSnapshot{Config: cfg}); err != nil {
+		t.Fatalf("restore refused WindowSize %d: %v", cfg.WindowSize, err)
+	}
+}
+
 func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 	p := NewStreamPredictor(DefaultConfig())
 	for _, x := range periodicStream(4*p.cfg.WindowSize, 18) {

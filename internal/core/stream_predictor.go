@@ -382,7 +382,7 @@ func phaseMajority(win []int64, ph, last, period int) (int64, bool) {
 	count, total := 0, 0
 	for i := ph; i <= last; i += period {
 		total++
-		count += b2i(win[i] == cand)
+		count += int(b2u(win[i] == cand))
 	}
 	return cand, 2*count > total
 }

@@ -76,19 +76,24 @@ type ProtocolAdvisor struct {
 	forecast []MessageForecast
 }
 
-// NewProtocolAdvisor builds an advisor.
-func NewProtocolAdvisor(cfg ProtocolConfig) (*ProtocolAdvisor, error) {
-	cfg = cfg.withDefaults()
+// defaultNet is the timing model of every advisor. A Model is read-only,
+// so one is shared; the default network configuration always validates.
+var defaultNet = func() *simnet.Model {
 	model, err := simnet.NewModel(simnet.DefaultConfig())
 	if err != nil {
-		return nil, err
+		panic(err)
 	}
+	return model
+}()
+
+// NewProtocolAdvisor builds an advisor.
+func NewProtocolAdvisor(cfg ProtocolConfig) *ProtocolAdvisor {
 	return &ProtocolAdvisor{
-		cfg:     cfg,
-		model:   model,
+		cfg:     cfg.withDefaults(),
+		model:   defaultNet,
 		granted: make(map[int][]int64),
 		next:    make(map[int][]int64),
-	}, nil
+	}
 }
 
 // OnMessage accounts one message: the baseline pays the standard protocol
@@ -149,10 +154,7 @@ func ReplayProtocol(tr *trace.Trace, receiver int, cfg ProtocolConfig) (Protocol
 	if len(recs) == 0 {
 		return ProtocolStats{}, fmt.Errorf("scalability: receiver %d has no physical records", receiver)
 	}
-	a, err := NewProtocolAdvisor(cfg)
-	if err != nil {
-		return ProtocolStats{}, err
-	}
+	a := NewProtocolAdvisor(cfg)
 	for _, r := range recs {
 		a.OnMessage(r.Sender, r.Size)
 	}

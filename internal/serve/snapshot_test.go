@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"mpipredict/internal/core"
 	"mpipredict/internal/strategy"
 )
 
@@ -25,6 +26,37 @@ func sampleSessions(t testing.TB) []SessionSnapshot {
 	}
 	observe(r, "is.4", "r0/logical", "", Event{Sender: 2, Size: 1 << 20}) // nearly fresh
 	return r.SnapshotSessions()
+}
+
+// emptyDPDSessions is one dpd session whose payloads are empty
+// predictors with the given window.
+func emptyDPDSessions(window int) []SessionSnapshot {
+	cfg := core.DefaultConfig()
+	cfg.WindowSize = window
+	payload := strategy.EncodeDPDState(core.PredictorSnapshot{Config: cfg})
+	return []SessionSnapshot{{Tenant: "t", Stream: "s", Strategy: "dpd", Sender: payload, Size: payload}}
+}
+
+// hugeWindowSessions is a well-formed snapshot whose predictors have a
+// window of 1<<22 samples; before WindowSize was capped, a restore of it
+// allocated 84 MB.
+func hugeWindowSessions() []SessionSnapshot { return emptyDPDSessions(1 << 22) }
+
+// TestReadSnapshotRefusesHugeWindow checks that the crafted payload is
+// refused by the dpd strategy's Restore and so by ReadSnapshot, which
+// trial-restores every session, while the same session with the default
+// window reads back.
+func TestReadSnapshotRefusesHugeWindow(t *testing.T) {
+	if _, err := ReadSnapshot(bytes.NewReader(encodeSnapshot(t, emptyDPDSessions(core.DefaultConfig().WindowSize)))); err != nil {
+		t.Fatalf("ReadSnapshot refused an empty default dpd session: %v", err)
+	}
+	sessions := hugeWindowSessions()
+	if _, err := strategy.Restore("dpd", sessions[0].Sender); !errors.Is(err, strategy.ErrBadPayload) {
+		t.Fatalf("dpd Restore of a 1<<22 window: %v, want ErrBadPayload", err)
+	}
+	if _, err := ReadSnapshot(bytes.NewReader(encodeSnapshot(t, sessions))); err == nil {
+		t.Fatal("ReadSnapshot accepted a session with a 1<<22 window")
+	}
 }
 
 func encodeSnapshot(t testing.TB, sessions []SessionSnapshot) []byte {
@@ -215,6 +247,7 @@ func FuzzSnapshotCodec(f *testing.F) {
 	f.Add(encodeSnapshot(f, sampleSessions(f)))
 	short := sampleSessions(f)[:1]
 	f.Add(encodeSnapshot(f, short))
+	f.Add(encodeSnapshot(f, hugeWindowSessions()))
 	f.Add([]byte("MPS\x01"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
